@@ -7,7 +7,9 @@
 //
 // Emitted BENCH_scale_ranks.json separates the two kinds of numbers:
 //   * metric() rows are virtual-time results (elapsed ms, message counts,
-//     schedule digests) — deterministic, gated by bench_trajectory.py.
+//     schedule digests) plus the engine's host-work counters (progress
+//     passes, endpoint visits) — deterministic, gated by
+//     bench_trajectory.py.
 //   * config() rows are host measurements (wall-clock ms, peak RSS MiB per
 //     sweep point) — machine-dependent, recorded for trending but never
 //     gated.
@@ -74,6 +76,28 @@ std::uint64_t total_msgs(const traffic::ScenarioResult& res) {
   return n;
 }
 
+/// Summed over phases (each phase already sums its per-rank deltas).
+std::uint64_t total_stat(const traffic::ScenarioResult& res,
+                         std::uint64_t mpi::Engine::Stats::* field) {
+  std::uint64_t n = 0;
+  for (const traffic::PhaseMetrics& m : res.phases) n += m.stats.*field;
+  return n;
+}
+
+/// Host-work counters: how many progress passes the ranks ran and how many
+/// endpoints those passes visited. Wall ms is noisy; these are exact.
+void host_work_metrics(bench::JsonReport& rep, const std::string& label,
+                       const traffic::ScenarioResult& res) {
+  rep.metric(label, "progress_passes",
+             static_cast<double>(
+                 total_stat(res, &mpi::Engine::Stats::progress_passes)),
+             "passes");
+  rep.metric(label, "endpoint_visits",
+             static_cast<double>(
+                 total_stat(res, &mpi::Engine::Stats::endpoint_visits)),
+             "visits");
+}
+
 std::string hex_digest(std::uint64_t d) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "%016llx",
@@ -119,6 +143,7 @@ int main(int argc, char** argv) {
     rep.metric(label, "elapsed_ms", virt, "ms");
     rep.metric(label, "msgs",
                static_cast<double>(total_msgs(res)), "msgs");
+    host_work_metrics(rep, label, res);
     rep.config(label + "/digest", hex_digest(res.digest));
     rep.config(label + "/wall_ms", wall);
     rep.config(label + "/peak_rss_mib", peak_rss_mib());
@@ -145,6 +170,7 @@ int main(int argc, char** argv) {
     rep.metric(label, "elapsed_ms", virt, "ms");
     rep.metric(label, "msgs",
                static_cast<double>(total_msgs(res)), "msgs");
+    host_work_metrics(rep, label, res);
     rep.config(label + "/digest", hex_digest(res.digest));
     rep.config(label + "/wall_ms", wall);
     rep.config(label + "/peak_rss_mib", peak_rss_mib());

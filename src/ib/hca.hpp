@@ -165,13 +165,15 @@ class Hca {
   MemoryRegion* mr_by_rkey(MKey rkey);
 
   /// Register a callback fired whenever an inbound RDMA write lands in this
-  /// node's memory. This is the simulator's stand-in for the eager-ring
-  /// tail-polling loop of the paper's protocol: instead of a rank burning a
-  /// core re-reading the tail byte, the landing event wakes it and it then
-  /// pays the modelled poll cost when it inspects the ring.
+  /// node's memory, with the rkey the write targeted. This is the
+  /// simulator's stand-in for the eager-ring tail-polling loop of the
+  /// paper's protocol: instead of a rank burning a core re-reading the tail
+  /// byte, the landing event wakes it — and the rkey tells it which ring or
+  /// credit cell changed — and it then pays the modelled poll cost when it
+  /// inspects that ring.
   /// Returns an id for remove_remote_write_observer (components with a
   /// shorter lifetime than the HCA must deregister before dying).
-  std::size_t add_remote_write_observer(std::function<void()> cb) {
+  std::size_t add_remote_write_observer(std::function<void(MKey)> cb) {
     remote_write_observers_.push_back(std::move(cb));
     return remote_write_observers_.size() - 1;
   }
@@ -250,11 +252,11 @@ class Hca {
   std::map<MKey, MemoryRegion*> mrs_by_rkey_;
   std::map<int, std::unique_ptr<CompletionQueue>> cqs_;
   std::map<Qpn, std::unique_ptr<QueuePair>> qps_;
-  std::vector<std::function<void()>> remote_write_observers_;
+  std::vector<std::function<void(MKey)>> remote_write_observers_;
 
-  void notify_remote_write() {
+  void notify_remote_write(MKey rkey) {
     for (auto& cb : remote_write_observers_) {
-      if (cb) cb();
+      if (cb) cb(rkey);
     }
   }
 };

@@ -1,6 +1,7 @@
 #include "mpi/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
 #include <mutex>
@@ -67,16 +68,13 @@ const Bootstrap::PeerInfo* Bootstrap::try_get_epoch(
 }
 
 void Bootstrap::request_reconnect(int from, int to, std::uint32_t epoch) {
-  std::uint32_t& cur = reconnect_board_[{from, to}];
+  ReconnectInbox& inbox = reconnect_inboxes_[to];
+  std::uint32_t& cur = inbox.epochs[from];
   if (epoch > cur) {
     cur = epoch;
+    inbox.raises.push_back(from);
     notify();
   }
-}
-
-std::uint32_t Bootstrap::reconnect_requested(int from, int to) const {
-  auto it = reconnect_board_.find({from, to});
-  return it == reconnect_board_.end() ? 0 : it->second;
 }
 
 void Bootstrap::set_watch(int rank, std::function<void()> fn) {
@@ -229,6 +227,7 @@ Engine::Engine(int rank, int nranks, std::unique_ptr<verbs::Ib> ib,
   if (rank < 0 || nranks <= 0 || rank >= nranks) {
     throw MpiError("Engine: bad rank/size");
   }
+  ready_.assign((static_cast<std::size_t>(nranks) + 63) / 64, 0);
   mpi_offload_threshold_ = options.mpi_offload_threshold.value_or(
       platform_.mpi_offload_threshold);
   coll_tuning_ = resolve_coll_tuning(platform_, options.coll);
@@ -279,10 +278,16 @@ void Engine::setup() {
     wake_pending_ = true;
     wake_.notify_all();
   });
-  write_observer_id_ = ib_->hca_ref().add_remote_write_observer([this] {
-    wake_pending_ = true;
-    wake_.notify_all();
-  });
+  if (fatal_armed_) reconnect_inbox_ = &bootstrap_.reconnect_inbox(rank_);
+  write_observer_id_ =
+      ib_->hca_ref().add_remote_write_observer([this](ib::MKey rkey) {
+        // Landings in other MRs (windows, channels, heartbeats, co-located
+        // ranks' rings) still wake the rank but mark no endpoint.
+        auto it = rkey_peer_.find(rkey);
+        if (it != rkey_peer_.end()) mark_ready(it->second);
+        wake_pending_ = true;
+        wake_.notify_all();
+      });
 
   mr_cache_ = std::make_unique<MrCache>(*ib_, *pd_, platform_.mr_cache_entries,
                                         platform_.mr_cache_bytes);
@@ -459,6 +464,8 @@ Engine::Endpoint& Engine::open_endpoint(int peer) {
     ep.hb_src_mr = ib_->reg_mr(pd_, ep.hb_src, ib::kLocalWrite);
   }
   ep.qp = ib_->create_qp(pd_, cq_, cq_);
+  watch_endpoint_mrs(ep);
+  mark_ready(peer);
 
   Bootstrap::PeerInfo info{ib_->address(ep.qp), ep.ring.addr(),
                            ep.ring_mr->rkey(), ep.credit_cell.addr(),
@@ -562,6 +569,7 @@ void Engine::tx(Endpoint& ep, std::function<void()> emit,
   }
   ++stats_.tx_stalls;
   ep.pending_tx.push_back({std::move(emit), std::move(owner)});
+  mark_ready(ep.peer);
 }
 
 void Engine::drain_tx(Endpoint& ep) {
@@ -994,10 +1002,27 @@ bool Engine::maybe_start_reconnect(Endpoint& ep, const char* why) {
 }
 
 void Engine::service_reconnect_requests(int except_peer) {
-  for (auto& [p, ep] : endpoints_) {
+  const Bootstrap::ReconnectInbox& inbox = *reconnect_inbox_;
+  // Ascending over the requesters that may be actionable, re-resolved per
+  // step: a reconnect below blocks, and a raise that arrives meanwhile joins
+  // this walk if its requester sorts above `p`, the next walk otherwise.
+  for (int p = -1;;) {
+    while (reconnect_raises_read_ < inbox.raises.size()) {
+      reconnect_todo_.insert(inbox.raises[reconnect_raises_read_++]);
+    }
+    auto next = reconnect_todo_.upper_bound(p);
+    if (next == reconnect_todo_.end()) return;
+    p = *next;
     if (p == except_peer) continue;
-    const std::uint32_t e = bootstrap_.reconnect_requested(p, rank_);
-    if (e > ep.epoch && ep.conn_state != ConnState::Reconnecting) {
+    auto it = endpoints_.find(p);
+    if (it == endpoints_.end()) continue;  // actionable once it opens
+    Endpoint& ep = it->second;
+    const std::uint32_t e = inbox.epochs.at(p);
+    if (e <= ep.epoch) {
+      reconnect_todo_.erase(p);  // inert until the peer raises it again
+    } else if (kill_armed_ && ep.conn_state == ConnState::Failed) {
+      reconnect_todo_.erase(p);  // terminal: perform_reconnect ignores it
+    } else if (ep.conn_state != ConnState::Reconnecting) {
       perform_reconnect(ep, e);
     }
   }
@@ -1017,6 +1042,9 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
   ep.conn_state = ConnState::Reconnecting;
   ++ep.reconnects;
   ++stats_.reconnects;
+  // The rebuild below rewrites the ring, the credit cell and the tx state:
+  // whatever happens, the next progress pass visits this endpoint.
+  mark_ready(ep.peer);
   sim::trace_instant("rank" + std::to_string(rank_) + ".faults",
                      "reconnect-start peer=" + std::to_string(ep.peer) +
                          " epoch=" + std::to_string(target_epoch),
@@ -1087,6 +1115,8 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
   // degrades to the host-proxy path (PhiVerbs::note_delegate_death), after
   // which this same rebuild completes through the proxy.
   try {
+    rkey_peer_.erase(ep.ring_mr->rkey());
+    rkey_peer_.erase(ep.credit_mr->rkey());
     ib_->destroy_qp(ep.qp);
     ib_->dereg_mr(ep.ring_mr);
     ib_->dereg_mr(ep.staging_mr);
@@ -1106,6 +1136,7 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
         ib_->reg_mr(pd_, ep.hb_cell, ib::kLocalWrite | ib::kRemoteWrite);
     ep.hb_src_mr = ib_->reg_mr(pd_, ep.hb_src, ib::kLocalWrite);
     ep.qp = ib_->create_qp(pd_, cq_, cq_);
+    watch_endpoint_mrs(ep);  // new generation, new rkeys
   } catch (const core::CmdError&) {
     // Only reachable when proxy failover was not eligible; the endpoint is
     // unrecoverable — fail every parked operation cleanly.
@@ -1667,26 +1698,32 @@ void Engine::read_credit_cell(Endpoint& ep) {
   }
 }
 
+std::optional<PacketHeader> Engine::ring_head(const Endpoint& ep) const {
+  const int slot = static_cast<int>(ep.my_consumed % slots());
+  const auto hdr = wire::get<PacketHeader>(ep.ring, layout_.header_off(slot));
+  if (hdr.magic != kPacketMagic) return std::nullopt;
+  const auto tail =
+      wire::get<PacketTail>(ep.ring, layout_.tail_off(slot, payload_len(hdr)));
+  if (tail != kPacketMagic) return std::nullopt;  // data still in flight
+  return hdr;
+}
+
 void Engine::scan_ring(Endpoint& ep) {
   const bool on_phi = ib_->data_domain() == mem::Domain::PhiGddr;
   for (;;) {
+    const std::optional<PacketHeader> head = ring_head(ep);
+    if (!head) break;
+    const PacketHeader& hdr = *head;
     const int slot = static_cast<int>(ep.my_consumed % slots());
     std::byte* base = ep.ring.data() + layout_.header_off(slot);
-    const auto hdr =
-        wire::get<PacketHeader>(ep.ring, layout_.header_off(slot));
-    if (hdr.magic != kPacketMagic) break;
-    const std::uint64_t plen =
-        hdr.type == PacketType::Eager ? hdr.msg_bytes : 0;
-    const auto tail =
-        wire::get<PacketTail>(ep.ring, layout_.tail_off(slot, plen));
-    if (tail != kPacketMagic) break;  // data still in flight
+    const std::uint64_t plen = payload_len(hdr);
     if (fatal_armed_ && hdr.conn_epoch != ep.epoch) {
       // Cross-epoch traffic: a pre-recovery packet landing in the rebuilt
       // ring (or one that raced the teardown). Fence it out — its sequence
       // number is replayed under the current epoch if it still matters.
       std::memset(base, 0, sizeof hdr);
       std::memset(ep.ring.data() + layout_.tail_off(slot, plen), 0,
-                  sizeof tail);
+                  sizeof(PacketTail));
       ++stats_.epoch_fenced;
       sim::trace_instant("rank" + std::to_string(rank_) + ".faults",
                          "epoch-fenced idx=" + std::to_string(hdr.ring_idx),
@@ -1699,7 +1736,7 @@ void Engine::scan_ring(Endpoint& ep) {
       // and do NOT advance — the slot's real next packet comes later.
       std::memset(base, 0, sizeof hdr);
       std::memset(ep.ring.data() + layout_.tail_off(slot, plen), 0,
-                  sizeof tail);
+                  sizeof(PacketTail));
       ++stats_.dup_packets_dropped;
       break;
     }
@@ -1719,7 +1756,8 @@ void Engine::scan_ring(Endpoint& ep) {
 
     // Release the slot, then occasionally tell the sender.
     std::memset(base, 0, sizeof hdr);
-    std::memset(ep.ring.data() + layout_.tail_off(slot, plen), 0, sizeof tail);
+    std::memset(ep.ring.data() + layout_.tail_off(slot, plen), 0,
+                sizeof(PacketTail));
     ++ep.my_consumed;
     chk().packet_consumed(rank_, ep.peer, ep.my_consumed);
     ++stats_.packets_rx;
@@ -1760,15 +1798,61 @@ void Engine::progress() {
   if (kill_armed_ && bootstrap_.fail_epoch() > known_fail_epoch_) {
     adopt_failures();
   }
-  for (auto& [p, ep] : endpoints_) {
-    read_credit_cell(ep);
-    drain_tx(ep);
-    scan_ring(ep);
+  ++stats_.progress_passes;
+  // Visit only the endpoints marked ready, in ascending peer order. Each bit
+  // is cleared before its visit, so a landing during the visit (or during
+  // its poll-overhead wait) re-marks the peer: a higher peer marked
+  // mid-pass is visited in this pass, a lower one in the next — exactly
+  // when a full scan of every endpoint would have reached it.
+  for (int p = next_ready(0); p >= 0; p = next_ready(p + 1)) {
+    clear_ready(p);
+    Endpoint& ep = endpoints_.at(p);
+    ++stats_.endpoint_visits;
+    try {
+      read_credit_cell(ep);
+      drain_tx(ep);
+      scan_ring(ep);
+    } catch (...) {
+      mark_ready(p);  // an unwound visit may have left work behind
+      throw;
+    }
   }
+  if (chk().full()) check_ready_set();
   // Schedules advance after the endpoint scan so transfers completed this
   // pass unlock their next stages immediately.
   advance_schedules();
   if (!condemned_.empty()) reap_condemned();
+}
+
+int Engine::next_ready(int from) const {
+  std::size_t w = static_cast<std::size_t>(from) >> 6;
+  if (w >= ready_.size()) return -1;
+  std::uint64_t bits = ready_[w] & (~0ull << (from & 63));
+  while (bits == 0) {
+    if (++w == ready_.size()) return -1;
+    bits = ready_[w];
+  }
+  return static_cast<int>(w * 64) + std::countr_zero(bits);
+}
+
+void Engine::watch_endpoint_mrs(const Endpoint& ep) {
+  rkey_peer_[ep.ring_mr->rkey()] = ep.peer;
+  rkey_peer_[ep.credit_mr->rkey()] = ep.peer;
+}
+
+void Engine::check_ready_set() {
+  for (const auto& [p, ep] : endpoints_) {
+    if (is_ready(p)) continue;
+    const char* what = nullptr;
+    if (wire::get<std::uint64_t>(ep.credit_cell, 0) > ep.consumed_by_peer) {
+      what = "an unread credit";
+    } else if (ring_head(ep)) {
+      what = "a complete packet at the ring head";
+    } else if (!ep.pending_tx.empty() && slots_free(ep) > 0) {
+      what = "drainable queued emissions";
+    }
+    if (what) chk().ready_set_miss(rank_, p, what);
+  }
 }
 
 void Engine::reap_condemned() {

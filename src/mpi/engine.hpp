@@ -9,6 +9,7 @@
 #include <set>
 #include <span>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "dcfa/phi_verbs.hpp"
@@ -54,11 +55,21 @@ class Bootstrap {
   void put_epoch(int from, int to, std::uint32_t epoch, PeerInfo info);
   /// Non-blocking epoch lookup; nullptr until the peer published.
   const PeerInfo* try_get_epoch(int from, int to, std::uint32_t epoch) const;
+  /// One rank's reconnect inbox. Epochs are monotonic per requester and
+  /// entries are never erased; `raises` logs the requester of every raise
+  /// in order, so a reader can pick up only what arrived since it looked.
+  struct ReconnectInbox {
+    std::map<int, std::uint32_t> epochs;  ///< requester -> highest epoch
+    std::vector<int> raises;
+  };
   /// Reconnect-request board: `from` asks `to` to re-establish their pair at
-  /// `epoch`. Epochs on the board are monotonic per direction.
+  /// `epoch` (a per-rank inbox, like the connect requests below).
   void request_reconnect(int from, int to, std::uint32_t epoch);
-  /// Highest epoch `from` has requested of `to` (0 = none).
-  std::uint32_t reconnect_requested(int from, int to) const;
+  /// `to`'s inbox (empty until someone asks). The reference stays valid for
+  /// the board's lifetime, and iterators into it survive later requests.
+  const ReconnectInbox& reconnect_inbox(int to) {
+    return reconnect_inboxes_[to];
+  }
   /// Per-rank change notification: `fn` runs on every publish/request so a
   /// rank blocked in its own wait loop learns it has recovery work. Pass an
   /// empty function to clear.
@@ -145,7 +156,7 @@ class Bootstrap {
 
   std::map<std::pair<int, int>, PeerInfo> table_;
   std::map<std::tuple<int, int, std::uint32_t>, PeerInfo> epoch_table_;
-  std::map<std::pair<int, int>, std::uint32_t> reconnect_board_;
+  std::map<int, ReconnectInbox> reconnect_inboxes_;  ///< keyed by target
   std::map<int, std::vector<int>> connect_requests_;  ///< target -> requesters
   std::map<int, std::function<void()>> watches_;
   std::map<int, sim::Time> dead_;           ///< rank -> virtual death time
@@ -268,6 +279,10 @@ class Engine {
     std::uint64_t rma_mr_negotiations = 0;  ///< window/channel MRs exposed
     std::uint64_t channel_posts = 0;     ///< persistent-channel hot-path posts
     std::uint64_t channel_negotiations = 0; ///< channel setup rkey exchanges
+    // --- Host work (simulator cost, never virtual time): deterministic
+    // counters for "why is the simulator slow here?" -------------------------
+    std::uint64_t progress_passes = 0;  ///< progress() passes run
+    std::uint64_t endpoint_visits = 0;  ///< ready endpoints those passes visited
   };
 
   Engine(int rank, int nranks, std::unique_ptr<verbs::Ib> ib,
@@ -327,8 +342,9 @@ class Engine {
   bool testall(std::span<Request> reqs);
   /// Advance once; index of some completed valid request, or nullopt.
   std::optional<std::size_t> testany(std::span<Request> reqs);
-  /// Drive the progress engine once (poll CQ, scan rings, drain queues,
-  /// advance collective schedules).
+  /// Drive the progress engine once (poll CQ, visit the endpoints marked
+  /// ready — read credits, drain queues, scan rings — then advance
+  /// collective schedules).
   void progress();
 
   /// Hand a compiled collective schedule to the executor. Posts stage 0
@@ -660,9 +676,10 @@ class Engine {
   /// the bootstrap, then replay every still-pending packet and re-post every
   /// pending rendezvous data operation. Both sides run this symmetrically.
   void perform_reconnect(Endpoint& ep, std::uint32_t target_epoch);
-  /// Serve peers' reconnect requests from the bootstrap board. `except_peer`
-  /// skips one peer (used from inside perform_reconnect's wait loop, where
-  /// serving *other* peers breaks multi-endpoint reconnect cycles).
+  /// Serve peers' reconnect requests from this rank's bootstrap inbox.
+  /// `except_peer` skips one peer (used from inside perform_reconnect's wait
+  /// loop, where serving *other* peers breaks multi-endpoint reconnect
+  /// cycles). Walks only requesters that may still be actionable.
   void service_reconnect_requests(int except_peer = -1);
 
   // --- Lazy first-touch wiring (Options::lazy_endpoints) ---------------------
@@ -713,7 +730,29 @@ class Engine {
   ib::MemoryRegion* register_window(const mem::Buffer& buf);
   void release_window(const mem::Buffer& buf, ib::MemoryRegion* mr);
 
+  // --- Event-driven progress (docs/simulator.md) -----------------------------
+  void mark_ready(int peer) { ready_[peer >> 6] |= 1ull << (peer & 63); }
+  void clear_ready(int peer) { ready_[peer >> 6] &= ~(1ull << (peer & 63)); }
+  bool is_ready(int peer) const {
+    return (ready_[peer >> 6] >> (peer & 63)) & 1;
+  }
+  /// Lowest peer >= `from` marked ready, or -1.
+  int next_ready(int from) const;
+  /// Map the endpoint's ring and credit rkeys to its peer, so the HCA's
+  /// landing observer can mark exactly that peer ready.
+  void watch_endpoint_mrs(const Endpoint& ep);
+  /// DCFA_CHECK=full: after a pass, every endpoint left unmarked must hold
+  /// no work the visit would have done (read-only probe; see ready_).
+  void check_ready_set();
+
   // --- RX path ---------------------------------------------------------------
+  /// Ring bytes a packet's payload occupies (only eager packets carry one).
+  static std::uint64_t payload_len(const PacketHeader& hdr) {
+    return hdr.type == PacketType::Eager ? hdr.msg_bytes : 0;
+  }
+  /// The header at the ring head once the whole packet (through its tail)
+  /// has landed; nullopt while the slot is empty or still in flight.
+  std::optional<PacketHeader> ring_head(const Endpoint& ep) const;
   void scan_ring(Endpoint& ep);
   void read_credit_cell(Endpoint& ep);
   void handle_packet(Endpoint& ep, const PacketHeader& hdr,
@@ -857,6 +896,14 @@ class Engine {
   std::unique_ptr<OffloadShadowCache> shadow_cache_;
 
   std::map<int, Endpoint> endpoints_;
+  /// Ready set: bit p (over world ranks) means endpoint p may have work.
+  /// Three things set it — an RDMA write landing in p's ring or credit MR
+  /// (through rkey_peer_), a tx() enqueue toward p, and opening or
+  /// reconnecting p. progress() clears a bit just before visiting that
+  /// endpoint, so only changed endpoints are visited. Every other endpoint
+  /// would find nothing, and an empty scan costs no virtual time.
+  std::vector<std::uint64_t> ready_;
+  std::unordered_map<ib::MKey, int> rkey_peer_;
   std::map<std::pair<std::uint32_t, int>, SelfChannel> self_channels_;
   std::map<std::uint32_t, CommRecv> comm_recv_;
   std::map<std::uint64_t, std::function<void(const ib::Wc&)>> outstanding_;
@@ -912,6 +959,14 @@ class Engine {
   /// calls that pass no explicit taxonomy inherit this one.
   MpiErrc blame_errc_ = MpiErrc::Other;
   int blame_peer_ = -1;
+  /// This rank's reconnect inbox (fatal faults only), how far into its
+  /// raise log this engine has read, and the requesters whose request may
+  /// still be actionable. A requester leaves the set once its epoch is at
+  /// or below the endpoint's (only a new raise can change that), or once
+  /// its endpoint failed under rank kills (terminal).
+  const Bootstrap::ReconnectInbox* reconnect_inbox_ = nullptr;
+  std::size_t reconnect_raises_read_ = 0;
+  std::set<int> reconnect_todo_;
   bool hb_stop_ = false;  ///< set at finalize; ends the heartbeat chain
   std::uint64_t usable_slots_ = 0;  ///< slots(), possibly credit-capped
   sim::Time retry_timeout_ = 0;

@@ -31,6 +31,7 @@ const char* check_kind_name(CheckKind k) {
     case CheckKind::RaceRmaWindow: return "race-rma-window";
     case CheckKind::RaceBufferReuse: return "race-buffer-reuse";
     case CheckKind::RaceChannelCell: return "race-channel-cell";
+    case CheckKind::ReadySetMiss: return "ready-set-miss";
   }
   return "unknown";
 }
@@ -271,8 +272,8 @@ void Checker::mr_registered(const void* owner, std::uint64_t lkey,
                             std::uint64_t len) {
   if (!on()) return;
   count();
-  mrs_[{owner, lkey}] = MrState{addr, len, true};
-  mrs_[{owner, rkey}] = MrState{addr, len, true};
+  mrs_[MrKey{owner, lkey}] = MrState{addr, len, true};
+  mrs_[MrKey{owner, rkey}] = MrState{addr, len, true};
 }
 
 void Checker::mr_deregistered(const void* owner, std::uint64_t lkey,
@@ -280,7 +281,7 @@ void Checker::mr_deregistered(const void* owner, std::uint64_t lkey,
   if (!on()) return;
   count();
   auto kill = [this, owner](std::uint64_t key) {
-    auto it = mrs_.find({owner, key});
+    auto it = mrs_.find(MrKey{owner, key});
     if (it != mrs_.end()) it->second.live = false;
   };
   kill(lkey);
@@ -291,7 +292,7 @@ void Checker::mr_used(const void* owner, std::uint64_t key,
                       std::uint64_t addr, std::uint64_t len) {
   if (!on()) return;
   count();
-  auto it = mrs_.find({owner, key});
+  auto it = mrs_.find(MrKey{owner, key});
   if (it == mrs_.end()) {
     // Key never registered with this checker. The HCA's own protection
     // checks report these as LocalProtectionError completions; unknown keys
@@ -346,6 +347,15 @@ void Checker::packet_epoch(int rank, int src, std::uint32_t pkt_epoch,
                 std::to_string(src) + " carrying epoch " +
                 std::to_string(pkt_epoch) + " while connection is at epoch " +
                 std::to_string(ep_epoch));
+}
+
+// --- event-driven progress ---------------------------------------------------
+
+void Checker::ready_set_miss(int rank, int peer, const char* what) {
+  violate(CheckKind::ReadySetMiss,
+          "rank " + std::to_string(rank) + " progress pass skipped peer " +
+              std::to_string(peer) + " with " + what +
+              " (no landing, enqueue or reconnect marked it ready)");
 }
 
 // --- collective tag windows and schedule stages -----------------------------

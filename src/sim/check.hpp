@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/vclock.hpp"
@@ -52,6 +53,7 @@ enum class CheckKind {
   RaceRmaWindow,   ///< concurrent conflicting window accesses with no HB edge (Full)
   RaceBufferReuse, ///< a nonblocking op's buffer accessed while in flight (Full)
   RaceChannelCell, ///< concurrent conflicting channel cell writes (Full)
+  ReadySetMiss,    ///< a progress pass skipped an endpoint with work (Full)
 };
 
 const char* check_kind_name(CheckKind k);
@@ -282,6 +284,16 @@ class Checker {
   /// acquires every voter's history (agreement is a full barrier).
   void agree_decided(int rank, std::uint32_t comm, std::uint64_t seq);
 
+  // --- event-driven progress (Full only) ------------------------------------
+
+  /// `rank`'s progress pass left `peer`'s endpoint unmarked in its ready
+  /// set although a read-only probe found work there (`what`: an unread
+  /// credit, a complete packet at the ring head, or drainable queued
+  /// emissions). Some state change reached the endpoint without an RDMA
+  /// landing, tx enqueue or (re)connect marking it. The engine probes only
+  /// at Full, so this hook is reached only on a miss.
+  [[noreturn]] void ready_set_miss(int rank, int peer, const char* what);
+
   // --- wire-format helpers ------------------------------------------------
 
   /// Raise a WireBounds violation (used by mpi/wire.hpp when a packed copy
@@ -300,6 +312,19 @@ class Checker {
       if (peer != o.peer) return peer < o.peer;
       if (comm != o.comm) return comm < o.comm;
       return tag < o.tag;
+    }
+  };
+  struct MrKey {
+    const void* owner;
+    std::uint64_t key;
+    bool operator==(const MrKey& o) const {
+      return owner == o.owner && key == o.key;
+    }
+  };
+  struct MrKeyHash {
+    std::size_t operator()(const MrKey& k) const {
+      return std::hash<const void*>{}(k.owner) ^
+             (std::hash<std::uint64_t>{}(k.key) * 0x9E3779B97F4A7C15ull);
     }
   };
   struct PairKey {
@@ -387,8 +412,9 @@ class Checker {
   // Keyed by (protection domain, key): key counters are per-Hca, so the
   // same numeric key legitimately recurs across ranks. Within one PD keys
   // are monotonic and never reused (ib::Hca hands out next_key_++), so a
-  // dead key stays in the map forever as a tombstone.
-  std::map<std::pair<const void*, std::uint64_t>, MrState> mrs_;
+  // dead key stays in the map forever as a tombstone. Only ever looked up
+  // by exact key, never iterated, hence hashed.
+  std::unordered_map<MrKey, MrState, MrKeyHash> mrs_;
   // (rank, comm, slot) -> check_id; ranks share the checker but each has
   // its own independent copy of the rotating window.
   std::map<std::tuple<int, std::uint32_t, int>, std::uint64_t> window_;

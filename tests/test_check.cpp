@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -811,6 +812,42 @@ TEST(CheckRaceExplore, JunkReplayTokensAreRejected) {
   EXPECT_THROW(sim::SchedConfig::from_token("x2:12"), std::invalid_argument);
   EXPECT_THROW(sim::SchedConfig::from_token("x1:zz"), std::invalid_argument);
   EXPECT_THROW(sim::SchedConfig::from_token(""), std::invalid_argument);
+}
+
+// --- event-driven progress: the ready set must cover every landing ---------
+
+TEST(CheckReadySet, RingWriteThatBypassesTheObserverIsAMiss) {
+  ScopedCheckEnv env("full");
+  mpi::RunConfig cfg;
+  cfg.mode = mpi::MpiMode::HostMpi;
+  cfg.nprocs = 2;
+  mpi::Runtime rt(cfg);
+  bool caught = false;
+  rt.run([&](mpi::RankCtx& ctx) {
+    if (ctx.rank != 1) return;  // rank 0 stays silent toward rank 1
+    mpi::Engine& eng = ctx.world.engine();
+    eng.progress();  // visit what setup marked; the ready set is now empty
+    // Seeded bug: a complete control packet appears at the head of rank
+    // 1's ring for rank 0 without an RDMA landing, so nothing marks peer 0.
+    const mpi::Bootstrap::PeerInfo* pi = eng.bootstrap().try_get(1, 0);
+    ASSERT_NE(pi, nullptr);
+    const std::size_t bytes =
+        sizeof(mpi::PacketHeader) + sizeof(mpi::PacketTail);
+    std::byte* head =
+        ctx.memory.space(mem::Domain::HostDram).resolve(pi->ring_addr, bytes);
+    mpi::PacketHeader hdr;
+    hdr.type = mpi::PacketType::Done;
+    const mpi::PacketTail tail = mpi::kPacketMagic;
+    std::memcpy(head, &hdr, sizeof hdr);
+    std::memcpy(head + sizeof hdr, &tail, sizeof tail);
+    try {
+      eng.progress();
+    } catch (const CheckError& e) {
+      caught = e.kind() == CheckKind::ReadySetMiss;
+    }
+    std::memset(head, 0, bytes);  // let finalize drain a clean ring
+  });
+  EXPECT_TRUE(caught) << "unmarked packet at the ring head was not flagged";
 }
 
 // --- integration: the live protocol is violation-free under full checking ---

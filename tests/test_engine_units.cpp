@@ -129,6 +129,48 @@ TEST(EngineStats, CountsMatchTraffic) {
   EXPECT_GE(rt.rank_stats()[1].packets_rx, 5u);
 }
 
+// Event-driven progress: once an all-to-all has wired all 63 of rank 0's
+// endpoints, a 0<->1 ping-pong must cost rank 0 about one endpoint visit per
+// progress pass (peer 1's ring and credit cell), not one per wired endpoint.
+TEST(EngineStats, PingPongVisitsOnlyTheActivePeer) {
+  constexpr int kRanks = 64;
+  RunConfig cfg;
+  cfg.mode = MpiMode::HostMpi;
+  cfg.nprocs = kRanks;
+  cfg.engine_options.lazy_endpoints = true;
+  Runtime rt(cfg);
+  Engine::Stats before{};
+  Engine::Stats after{};
+  rt.run([&](RankCtx& ctx) {
+    auto& comm = ctx.world;
+    mem::Buffer a2a_out = comm.alloc(kRanks * 64);
+    mem::Buffer a2a_in = comm.alloc(kRanks * 64);
+    comm.alltoall(a2a_out, 0, 64, type_byte(), a2a_in, 0);
+    comm.barrier();
+    mem::Buffer msg = comm.alloc(64);
+    if (ctx.rank == 0) before = comm.engine().stats();
+    for (int i = 0; i < 200; ++i) {
+      if (ctx.rank == 0) {
+        comm.send(msg, 0, 64, type_byte(), 1, 7);
+        comm.recv(msg, 0, 64, type_byte(), 1, 7);
+      } else if (ctx.rank == 1) {
+        comm.recv(msg, 0, 64, type_byte(), 0, 7);
+        comm.send(msg, 0, 64, type_byte(), 0, 7);
+      }
+    }
+    if (ctx.rank == 0) after = comm.engine().stats();
+    comm.barrier();
+    comm.free(msg);
+    comm.free(a2a_out);
+    comm.free(a2a_in);
+  });
+  const std::uint64_t passes = after.progress_passes - before.progress_passes;
+  const std::uint64_t visits = after.endpoint_visits - before.endpoint_visits;
+  EXPECT_GE(passes, 200u);
+  EXPECT_LE(visits, 2 * passes)
+      << visits << " endpoint visits over " << passes << " passes";
+}
+
 TEST(EngineStats, HcaEgressCountsRetransmissions) {
   // RNR on a Send/Recv pair doubles the wire traffic; the HCA's egress
   // counter exposes it (the cost abl_rdma_vs_sendrecv quantifies).

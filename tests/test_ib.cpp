@@ -398,11 +398,18 @@ TEST(Hca, UnsignaledWritesProduceNoCqe) {
 TEST(Hca, RemoteWriteObserversFire) {
   Cluster c;
   int fired = 0;
-  c.hca1.add_remote_write_observer([&] { ++fired; });
+  MKey landed_rkey = 0;
+  c.hca1.add_remote_write_observer([&](MKey rkey) {
+    ++fired;
+    landed_rkey = rkey;
+  });
   mem::Buffer src = c.mem0.alloc(mem::Domain::HostDram, 8);
   mem::Buffer dst = c.mem1.alloc(mem::Domain::HostDram, 8);
+  mem::Buffer other = c.mem1.alloc(mem::Domain::HostDram, 8);
   MemoryRegion* smr =
       c.hca0.reg_mr(c.e0.pd, mem::Domain::HostDram, src.addr(), 8, 0);
+  MemoryRegion* other_mr = c.hca1.reg_mr(c.e1.pd, mem::Domain::HostDram,
+                                         other.addr(), 8, kRemoteWrite);
   MemoryRegion* dmr = c.hca1.reg_mr(c.e1.pd, mem::Domain::HostDram,
                                     dst.addr(), 8, kRemoteWrite);
   SendWr wr;
@@ -413,6 +420,11 @@ TEST(Hca, RemoteWriteObserversFire) {
   c.hca0.post_send(c.e0.qp, wr);
   c.engine.run();
   EXPECT_EQ(fired, 1);
+  // The observer names the MR the write landed in, not just "something
+  // landed" (the engine's ready set maps it back to the peer whose ring or
+  // credit cell changed).
+  EXPECT_EQ(landed_rkey, dmr->rkey());
+  EXPECT_NE(landed_rkey, other_mr->rkey());
 }
 
 // --- Timing model: the Figure 5 asymmetry at the verbs level ----------------
