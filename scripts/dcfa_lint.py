@@ -29,8 +29,9 @@ see (docs/checking.md has the rationale and the paper references):
                   RDMA post anywhere else in src/mpi bypasses
                   chk().rma_remote_access and the passive-target epoch
                   ledgers — DcfaCheck would be blind to the access.
-  raw-swapcontext swapcontext() may only appear in src/sim/fiber.cpp
-                  (Fiber::resume/yield). A context switch anywhere else
+  raw-swapcontext swapcontext()/setcontext() may only appear in
+                  src/sim/fiber.cpp (Fiber::resume/yield and a finished
+                  fiber's exit). A context switch anywhere else
                   escapes the engine's event queue, which breaks both the
                   determinism contract and schedule exploration
                   (DCFA_SIM_SCHED=explore can only permute decisions that
@@ -118,7 +119,7 @@ RMA_OPCODE = re.compile(r"Opcode::Rdma(?:Write|Read)\b")
 # schedule exploration (and its replay tokens) covers every interleaving
 # decision; a stray swapcontext would be an invisible scheduling choice.
 SWAPCONTEXT_ALLOWED = ["src/sim/fiber.cpp"]
-SWAPCONTEXT_CALL = re.compile(r"\bswapcontext\s*\(")
+SWAPCONTEXT_CALL = re.compile(r"\b(?:swap|set)context\s*\(")
 
 WAIVER = re.compile(r"//\s*dcfa-lint:\s*allow-file\((?P<rule>[\w-]+)\)(?P<just>.*)")
 
@@ -281,10 +282,10 @@ def check_swapcontext(path: Path, rel: str, lines: list[str]) -> None:
     for i, line in enumerate(lines, 1):
         if SWAPCONTEXT_CALL.search(strip_comments(line)):
             finding(path, i, "raw-swapcontext",
-                    "swapcontext outside src/sim/fiber.cpp: a context switch "
-                    "that does not flow through Engine::schedule_at is an "
-                    "interleaving decision the explore scheduler can neither "
-                    "permute nor replay")
+                    "swapcontext/setcontext outside src/sim/fiber.cpp: a "
+                    "context switch that does not flow through "
+                    "Engine::schedule_at is an interleaving decision the "
+                    "explore scheduler can neither permute nor replay")
 
 
 def run_clang_tidy(files: list[Path]) -> None:

@@ -28,6 +28,12 @@ SUITES = {
     "nbc": r"^(test_collectives|test_nbc_random|test_collective_storm)$",
     "rma": r"^(test_window|test_rma_random|test_persistent)$",
     "traffic": r"^(test_traffic_gen)$",
+    # Recovery replays packets and re-posts RDMA ops across reconnects, so
+    # the fault suites are where a reordered completion can admit a message
+    # twice.
+    "faults": r"^(test_fault_injection|test_fatal_faults|test_rank_failure|"
+              r"test_nbc_faults|test_collectives_faults|"
+              r"test_fault_determinism|test_traffic_soak)$",
 }
 
 TOKEN_RE = re.compile(r"\[schedule=(x1:[0-9a-f]+)\]")

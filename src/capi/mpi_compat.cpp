@@ -11,9 +11,9 @@ namespace dcfa::capi {
 
 namespace {
 
-/// Per-rank ambient state. Each rank is one sim::Process — with the fiber
-/// scheduler many ranks share an OS thread, so "process globals" hang off
-/// the process's ambient slot (set by run() below), not off thread_local.
+/// Per-rank ambient state. Each rank is one sim::Process, and every rank
+/// shares the engine's one OS thread, so "process globals" hang off the
+/// process's ambient slot (set by run() below), not off per-thread storage.
 struct RankEnv {
   mpi::RankCtx* ctx = nullptr;
   bool initialized = false;

@@ -727,11 +727,20 @@ void Engine::handle_eager(Endpoint& ep, Channel& ch, const PacketHeader& hdr,
 void Engine::handle_rts(Endpoint& ep, Channel& ch, const PacketHeader& hdr) {
   auto it = ch.posted.find(hdr.seq);
   if (it != ch.posted.end()) {
-    if (it->second->phase != RequestState::Phase::RtrSent) {
+    auto req = it->second;
+    if (faults_armed_ && req->phase == RequestState::Phase::ReadingData) {
+      // A replayed RTS: the sender re-emits every unacked packet after a
+      // reconnect, and this one's original already started the read. That
+      // read is one DataOp which survives the reconnect (perform_reconnect
+      // re-posts it), and its callback is the only place that emits DONE
+      // and completes the request. A second read would do both twice.
+      ++stats_.dup_packets_dropped;
+      return;
+    }
+    if (req->phase != RequestState::Phase::RtrSent) {
       chk().packet_accepted(rank_, hdr.src_rank, hdr.comm_id, hdr.tag,
                             hdr.seq);
     }
-    auto req = it->second;
     // WaitingPacket: plain Sender-First. RtrSent: Simultaneous Send/Receive
     // — "the receiver will RDMA read by using the buffer data included in
     // the RTS packet following the process of the Sender First protocol".

@@ -79,9 +79,9 @@ Runtime::Runtime(RunConfig config)
 }
 
 Runtime::~Runtime() {
-  // Rank threads stranded by a peer's exception are still parked inside
+  // Rank fibers stranded by a peer's exception are still parked inside
   // their bodies; they unwind (running mpi::Engine's destructor, which
-  // detaches its CQ wake callback) only when joined. That must happen
+  // detaches its CQ wake callback) only when abandoned. That must happen
   // before the fabric and nodes those destructors touch are freed —
   // members destroy in reverse declaration order, which would tear down
   // fabric_ first.

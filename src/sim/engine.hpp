@@ -18,25 +18,26 @@ class Process;
 /// Deterministic discrete-event engine.
 ///
 /// The engine owns a priority queue of (time, sequence) ordered events and a
-/// set of cooperative processes. Exactly one thread — either the engine's
-/// caller inside an event callback, or a single resumed Process — runs at any
-/// moment, so simulation state needs no locking and every run with the same
-/// inputs produces the same event order.
+/// set of cooperative processes, each a fiber on the caller's OS thread.
+/// Exactly one context — the engine inside an event callback, or a single
+/// resumed Process — runs at any moment, so simulation state needs no
+/// locking and every run with the same inputs produces the same event order.
 ///
 /// Scheduling is O(active contexts), not O(all ranks): blocked processes
 /// cost nothing until an event resumes them, finished processes release
 /// their stacks and bodies immediately (Process::finish_cleanup), and the
-/// live-process count is a counter, not a sweep. The execution backend —
-/// stackful fibers over a small worker pool, or one OS thread per process —
-/// is picked by SchedConfig (sim/fiber.hpp) and never affects event order.
+/// live-process count is a counter, not a sweep. The event ordering policy
+/// (Fifo or Explore) and the fiber stack size come from SchedConfig
+/// (sim/fiber.hpp).
 class Engine {
  public:
   using Callback = std::function<void()>;
 
-  /// Backend/pool/stack from the environment (DCFA_SIM_SCHED,
-  /// DCFA_SIM_THREADS, DCFA_SIM_STACK_KB; see SchedConfig::from_env).
+  /// Ordering/seed/stack from the environment (DCFA_SIM_SCHED,
+  /// DCFA_SIM_SEED, DCFA_SIM_SCHEDULE, DCFA_SIM_STACK_KB; see
+  /// SchedConfig::from_env).
   Engine();
-  /// Explicit scheduler configuration (tests pin pool sizes with this).
+  /// Explicit scheduler configuration (tests pin explore seeds with this).
   explicit Engine(SchedConfig sched);
   ~Engine();
 
@@ -113,8 +114,6 @@ class Engine {
 
   void step(const Event& ev);
   void check_deadlock() const;
-  /// Dispatch a fiber resume to its pinned pool worker (or inline).
-  void run_resume(Process& p);
   void note_process_finished() { --live_; }
 
   Time now_ = 0;
@@ -124,9 +123,6 @@ class Engine {
   std::size_t live_ = 0;
   SchedConfig sched_;
   std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
-  /// Declared before processes_: abandoned fibers unwind on their pinned
-  /// workers from ~Process, so the pool must outlive the process list.
-  std::unique_ptr<FiberPool> pool_;
   std::vector<std::unique_ptr<Process>> processes_;
   std::unique_ptr<Checker> checker_;
 };

@@ -9,10 +9,11 @@
 #include <stdexcept>
 #include <string>
 
-// Sanitizer detection. TSan's runtime tracks OS threads, not ucontext
-// switches, so the fiber backend is force-disabled there (SchedConfig keeps
-// the thread backend). ASan supports foreign stacks through the
-// __sanitizer_*_switch_fiber annotation protocol, implemented below.
+// Sanitizer detection. Both ASan and TSan follow a fiber across ucontext
+// switches only when told about them: ASan through the
+// __sanitizer_*_switch_fiber protocol, TSan through __tsan_*_fiber. Each
+// annotation sits immediately before (or, for ASan's finish half, after)
+// the swapcontext it describes.
 #if defined(__has_feature)
 #if __has_feature(address_sanitizer)
 #define DCFA_FIBER_ASAN 1
@@ -38,14 +39,23 @@ void __sanitizer_finish_switch_fiber(void* fake_stack_save,
 }
 #endif
 
+#ifdef DCFA_FIBER_TSAN
+extern "C" {
+void* __tsan_get_current_fiber(void);
+void* __tsan_create_fiber(unsigned flags);
+void __tsan_destroy_fiber(void* fiber);
+void __tsan_switch_to_fiber(void* fiber, unsigned flags);
+}
+#endif
+
 namespace dcfa::sim {
 
 namespace {
 
 // makecontext's entry function takes no usable pointer-sized argument
 // portably; the fiber being entered parks itself here just before the
-// switch, on the same thread that will run the trampoline.
-thread_local Fiber* tl_entering = nullptr;
+// switch. One OS thread runs every fiber, so a plain static suffices.
+Fiber* entering = nullptr;
 
 std::size_t page_size() {
   static const std::size_t p = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
@@ -63,10 +73,6 @@ std::string SchedConfig::schedule_token() const {
 }
 
 SchedConfig SchedConfig::from_token(const std::string& token) {
-  SchedConfig cfg;
-#ifdef DCFA_FIBER_TSAN
-  cfg.backend = Backend::Thread;
-#endif
   if (token.rfind("x1:", 0) != 0 || token.size() <= 3) {
     throw std::invalid_argument(
         "DCFA_SIM_SCHEDULE: expected a replay token 'x1:<hex seed>', got '" +
@@ -83,6 +89,7 @@ SchedConfig SchedConfig::from_token(const std::string& token) {
     throw std::invalid_argument(
         "DCFA_SIM_SCHEDULE: bad seed digits in token '" + token + "'");
   }
+  SchedConfig cfg;
   cfg.order = Order::Explore;
   cfg.seed = seed;
   return cfg;
@@ -90,22 +97,12 @@ SchedConfig SchedConfig::from_token(const std::string& token) {
 
 SchedConfig SchedConfig::from_env() {
   SchedConfig cfg;
-#ifdef DCFA_FIBER_TSAN
-  cfg.backend = Backend::Thread;
-#endif
   if (const char* e = std::getenv("DCFA_SIM_SCHED")) {
-    if (std::strcmp(e, "fiber") == 0) {
-      cfg.backend = Backend::Fiber;
-    } else if (std::strcmp(e, "thread") == 0) {
-      cfg.backend = Backend::Thread;
-    } else if (std::strcmp(e, "explore") == 0) {
-      // Exploration is an event-*ordering* policy, orthogonal to the
-      // context backend: the default backend (thread under TSan) stays.
+    if (std::strcmp(e, "explore") == 0) {
       cfg.order = Order::Explore;
-    } else {
+    } else if (std::strcmp(e, "fifo") != 0) {
       throw std::invalid_argument(
-          std::string("DCFA_SIM_SCHED: expected 'fiber', 'thread' or "
-                      "'explore', got '") +
+          std::string("DCFA_SIM_SCHED: expected 'fifo' or 'explore', got '") +
           e + "'");
     }
   }
@@ -125,13 +122,6 @@ SchedConfig SchedConfig::from_env() {
     cfg.order = replay.order;
     cfg.seed = replay.seed;
   }
-  if (const char* e = std::getenv("DCFA_SIM_THREADS")) {
-    const long n = std::strtol(e, nullptr, 10);
-    if (n < 0 || n > 1024) {
-      throw std::invalid_argument("DCFA_SIM_THREADS: out of range");
-    }
-    cfg.threads = static_cast<unsigned>(n);
-  }
   if (const char* e = std::getenv("DCFA_SIM_STACK_KB")) {
     const long kb = std::strtol(e, nullptr, 10);
     if (kb < 16 || kb > 1048576) {
@@ -139,11 +129,6 @@ SchedConfig SchedConfig::from_env() {
     }
     cfg.stack_bytes = static_cast<std::size_t>(kb) * 1024;
   }
-#ifdef DCFA_FIBER_TSAN
-  // Never let the env re-enable fibers under TSan: swapcontext would leave
-  // the TSan shadow stack pointing at the wrong frames.
-  cfg.backend = Backend::Thread;
-#endif
   return cfg;
 }
 
@@ -166,17 +151,22 @@ Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes)
     throw std::runtime_error("Fiber: guard-page mprotect failed");
   }
   stack_base_ = static_cast<char*>(map_) + page;
+#ifdef DCFA_FIBER_TSAN
+  tsan_fiber_ = __tsan_create_fiber(0);
+#endif
 }
 
 Fiber::~Fiber() {
+#ifdef DCFA_FIBER_TSAN
+  __tsan_destroy_fiber(tsan_fiber_);
+#endif
   if (map_ != nullptr) munmap(map_, map_bytes_);
 }
 
 void Fiber::trampoline() {
-  Fiber* f = tl_entering;
-  tl_entering = nullptr;
+  Fiber* f = entering;
+  entering = nullptr;
   f->enter();
-  // Returning ends the context via uc_link (back inside resume()).
 }
 
 void Fiber::enter() {
@@ -194,6 +184,13 @@ void Fiber::enter() {
   __sanitizer_start_switch_fiber(nullptr, from_stack_bottom_,
                                  from_stack_size_);
 #endif
+#ifdef DCFA_FIBER_TSAN
+  __tsan_switch_to_fiber(tsan_resumer_, 0);
+#endif
+  // Leave by an explicit switch rather than by returning into uc_link: no
+  // instrumented epilogue may run on this stack once the sanitizers have
+  // been told we are back on the resumer's.
+  setcontext(&return_ctx_);
 }
 
 void Fiber::resume() {
@@ -205,13 +202,17 @@ void Fiber::resume() {
     }
     self_.uc_stack.ss_sp = stack_base_;
     self_.uc_stack.ss_size = stack_size_;
-    self_.uc_link = &return_ctx_;
+    self_.uc_link = nullptr;  // enter() never returns
     makecontext(&self_, &Fiber::trampoline, 0);
-    tl_entering = this;
+    entering = this;
   }
 #ifdef DCFA_FIBER_ASAN
   __sanitizer_start_switch_fiber(&resumer_fake_stack_, stack_base_,
                                  stack_size_);
+#endif
+#ifdef DCFA_FIBER_TSAN
+  tsan_resumer_ = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
   swapcontext(&return_ctx_, &self_);
 #ifdef DCFA_FIBER_ASAN
@@ -224,57 +225,15 @@ void Fiber::yield() {
   __sanitizer_start_switch_fiber(&own_fake_stack_, from_stack_bottom_,
                                  from_stack_size_);
 #endif
+#ifdef DCFA_FIBER_TSAN
+  __tsan_switch_to_fiber(tsan_resumer_, 0);
+#endif
   swapcontext(&self_, &return_ctx_);
 #ifdef DCFA_FIBER_ASAN
-  // Re-record the resumer's stack on every entry: the pool pins us to one
-  // worker, but recording what finish reports is what the protocol asks.
+  // Re-record the resumer's stack on every entry, as the protocol asks.
   __sanitizer_finish_switch_fiber(own_fake_stack_, &from_stack_bottom_,
                                   &from_stack_size_);
 #endif
-}
-
-FiberPool::FiberPool(unsigned threads) {
-  workers_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i) {
-    auto w = std::make_unique<Worker>();
-    Worker* raw = w.get();
-    raw->thread = std::thread([raw] {
-      std::unique_lock lk(raw->mu);
-      for (;;) {
-        raw->cv.wait(lk, [raw] { return raw->job != nullptr || raw->stop; });
-        if (raw->job == nullptr) return;  // stop with no pending job
-        (*raw->job)();
-        raw->job = nullptr;
-        raw->job_done = true;
-        raw->cv.notify_all();
-      }
-    });
-    workers_.push_back(std::move(w));
-  }
-}
-
-FiberPool::~FiberPool() {
-  for (auto& w : workers_) {
-    {
-      std::lock_guard lk(w->mu);
-      w->stop = true;
-    }
-    w->cv.notify_all();
-    w->thread.join();
-  }
-}
-
-void FiberPool::run_on(std::size_t slot, const std::function<void()>& fn) {
-  if (workers_.empty()) {
-    fn();
-    return;
-  }
-  Worker& w = *workers_[slot % workers_.size()];
-  std::unique_lock lk(w.mu);
-  w.job = &fn;
-  w.job_done = false;
-  w.cv.notify_all();
-  w.cv.wait(lk, [&w] { return w.job_done; });
 }
 
 }  // namespace dcfa::sim

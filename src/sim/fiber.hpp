@@ -1,39 +1,27 @@
 #pragma once
 
-// Stackful-fiber backend for sim::Process (docs/simulator.md).
+// Stackful fibers for sim::Process (docs/simulator.md).
 //
 // A Fiber is a resumable execution context over ucontext with its own
 // mmap'd stack: a guard page at the low end, the rest lazily paged, so
 // thousands of simulated ranks cost virtual address space instead of OS
-// threads. The FiberPool multiplexes fibers over a small set of worker
-// threads: every fiber is pinned to one worker (slot % workers) and the
-// resuming thread blocks until the fiber parks again, so the pool size
-// changes *where* a fiber runs but never *when* — the engine's event order,
-// and therefore every trace and Stats bag, is identical for any pool size
-// (tests/test_scale.cpp proves it).
+// threads. Every fiber runs on the engine's one OS thread; resume() and
+// yield() are plain context switches, so the engine's event order — and
+// therefore every trace and Stats bag — depends only on the events.
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <ucontext.h>
-#include <vector>
 
 namespace dcfa::sim {
 
 /// Scheduler configuration for one sim::Engine, resolved from the
 /// environment once at engine construction:
-///   DCFA_SIM_SCHED     fiber | thread | explore. Default fiber — except
-///                      under ThreadSanitizer, whose runtime does not model
-///                      ucontext switches and always gets thread. `explore`
-///                      keeps the default context backend and switches the
-///                      event *ordering* to randomized priorities (below).
-///   DCFA_SIM_THREADS   worker threads multiplexing the fibers; 0 (the
-///                      default) runs fibers inline on the engine thread.
+///   DCFA_SIM_SCHED     fifo | explore. Default fifo. `explore` switches
+///                      the event *ordering* to randomized priorities
+///                      (below); any other value throws.
 ///   DCFA_SIM_STACK_KB  virtual stack size per fiber (default 512). Only
 ///                      touched pages cost RSS.
 ///   DCFA_SIM_SEED      explore-mode seed (decimal, default 0).
@@ -51,12 +39,9 @@ namespace dcfa::sim {
 ///             time is never reordered, so timing metrics are undistorted;
 ///             each seed is one reproducible interleaving.
 struct SchedConfig {
-  enum class Backend { Fiber, Thread };
   enum class Order { Fifo, Explore };
-  Backend backend = Backend::Fiber;
   Order order = Order::Fifo;
   std::uint64_t seed = 0;
-  unsigned threads = 0;
   std::size_t stack_bytes = 512 * 1024;
 
   bool explore() const { return order == Order::Explore; }
@@ -65,16 +50,15 @@ struct SchedConfig {
   /// "x1" tags the priority algorithm so a token can never silently replay
   /// under a different scheme). Empty under Fifo ordering.
   std::string schedule_token() const;
-  /// Parse a replay token back into an explore config (backend/threads/
-  /// stack keep their defaults). Throws std::invalid_argument on junk.
+  /// Parse a replay token back into an explore config (the stack size
+  /// keeps its default). Throws std::invalid_argument on junk.
   static SchedConfig from_token(const std::string& token);
 
   static SchedConfig from_env();
 };
 
-/// One resumable context. resume() and yield() must pair on the same OS
-/// thread for any given fiber (the FiberPool's pinning guarantees it);
-/// sanitizer stack bookkeeping and ucontext both require this.
+/// One resumable context. resume() and yield() pair on the one OS thread
+/// that runs the engine.
 class Fiber {
  public:
   Fiber(std::function<void()> body, std::size_t stack_bytes);
@@ -83,13 +67,11 @@ class Fiber {
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
 
-  /// Switch the calling thread into the fiber; returns when the fiber
-  /// yields or its body returns.
+  /// Switch into the fiber; returns when the fiber yields or its body
+  /// returns.
   void resume();
   /// Called from inside the body: switch back to the resumer.
   void yield();
-  /// True once the body has returned. A done fiber must not be resumed.
-  bool done() const { return done_; }
   bool started() const { return started_; }
 
  private:
@@ -102,7 +84,7 @@ class Fiber {
   void* stack_base_ = nullptr;  ///< usable stack (above the guard page)
   std::size_t stack_size_ = 0;
   bool started_ = false;
-  bool done_ = false;
+  bool done_ = false;  ///< body returned; resume() is then a no-op
   ucontext_t self_{};
   ucontext_t return_ctx_{};
   // ASan fiber-switch bookkeeping (__sanitizer_*_switch_fiber protocol):
@@ -112,35 +94,10 @@ class Fiber {
   void* own_fake_stack_ = nullptr;
   const void* from_stack_bottom_ = nullptr;
   std::size_t from_stack_size_ = 0;
-};
-
-/// Pinned worker threads for fiber execution. run_on() blocks the caller
-/// until `fn` (which resumes a fiber and returns when it parks) completes,
-/// so exactly one simulated context ever runs at a time regardless of the
-/// pool size — concurrency here buys stack/TLS isolation, not parallelism.
-class FiberPool {
- public:
-  explicit FiberPool(unsigned threads);
-  ~FiberPool();
-
-  FiberPool(const FiberPool&) = delete;
-  FiberPool& operator=(const FiberPool&) = delete;
-
-  unsigned size() const { return static_cast<unsigned>(workers_.size()); }
-  /// Run `fn` to completion on worker (slot % size()); with zero workers
-  /// it runs inline on the calling thread.
-  void run_on(std::size_t slot, const std::function<void()>& fn);
-
- private:
-  struct Worker {
-    std::mutex mu;
-    std::condition_variable cv;
-    const std::function<void()>* job = nullptr;
-    bool job_done = false;
-    bool stop = false;
-    std::thread thread;
-  };
-  std::vector<std::unique_ptr<Worker>> workers_;
+  // TSan fiber handles (__tsan_*_fiber): this fiber's own, and the context
+  // that last resumed it (switched back to on yield and on exit).
+  void* tsan_fiber_ = nullptr;
+  void* tsan_resumer_ = nullptr;
 };
 
 }  // namespace dcfa::sim

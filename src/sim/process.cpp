@@ -6,39 +6,26 @@
 
 namespace dcfa::sim {
 
-thread_local Process* Process::tl_current_ = nullptr;
+Process* Process::current_ = nullptr;
 
-Process* Process::current() { return tl_current_; }
+Process* Process::current() { return current_; }
 
 Process::Process(Engine& engine, std::string name,
-                 std::function<void(Process&)> body, std::size_t id)
+                 std::function<void(Process&)> body)
     : engine_(engine), name_(std::move(name)), body_(std::move(body)),
-      id_(id) {}
+      fiber_(std::make_unique<Fiber>([this] { run_body(); },
+                                     engine.sched_config().stack_bytes)) {}
 
 Process::~Process() {
-  if (fiber_) {
-    if (fiber_->started() && !fiber_->done()) {
-      // The engine is being torn down with this fiber still parked inside
-      // its body. Resume it one last time with the abandon flag set so
-      // park() throws AbandonedProcess and the fiber stack unwinds its
-      // destructors before the mapping is released. The resume must run on
-      // the fiber's pinned worker (sanitizer stack bookkeeping).
-      abandoned_ = true;
-      engine_.run_resume(*this);
-    }
-    return;  // never-started fibers hold no frames; ~Fiber unmaps
+  if (fiber_ && fiber_->started() && !done_) {
+    // The engine is being torn down with this fiber still parked inside
+    // its body. Resume it one last time with the abandon flag set so
+    // park() throws AbandonedProcess and the fiber stack unwinds its
+    // destructors before the mapping is released. A never-started fiber
+    // holds no frames; ~Fiber just unmaps it.
+    abandoned_ = true;
+    resume();
   }
-  {
-    std::unique_lock lk(mu_);
-    if (state_ != State::Done && thread_.joinable()) {
-      // Thread backend: hand the parked thread a poisoned token so it can
-      // unwind via an exception.
-      state_ = State::Done;  // signals abandon to the thread loop
-      token_with_process_ = true;
-      cv_.notify_all();
-    }
-  }
-  if (thread_.joinable()) thread_.join();
 }
 
 Time Process::now() const { return engine_.now(); }
@@ -50,86 +37,33 @@ void Process::run_body() {
     // Engine torn down while we were parked; just unwind.
   } catch (...) {
     // Remember the failure; Engine::run() rethrows it to the caller. The
-    // engine is blocked until we hand control back, so this write is
-    // ordered before its next loop check.
+    // engine is suspended until we switch back, so this write is ordered
+    // before its next loop check.
     error_ = std::current_exception();
     engine_.process_failed_ = true;
   }
-  state_ = State::Done;
-}
-
-void Process::start() {
-  state_ = State::Runnable;
-  if (engine_.sched_config().backend == SchedConfig::Backend::Fiber) {
-    fiber_ = std::make_unique<Fiber>([this] { run_body(); },
-                                     engine_.sched_config().stack_bytes);
-    return;
-  }
-  thread_ = std::thread([this] {
-    tl_current_ = this;  // this thread runs exactly one process body
-    {
-      // Wait for the first resume.
-      std::unique_lock lk(mu_);
-      cv_.wait(lk, [this] { return token_with_process_; });
-      if (state_ == State::Done) {  // abandoned before first run
-        token_with_process_ = false;
-        cv_.notify_all();
-        return;
-      }
-      state_ = State::Running;
-    }
-    run_body();
-    std::unique_lock lk(mu_);
-    token_with_process_ = false;
-    cv_.notify_all();
-  });
+  done_ = true;
 }
 
 void Process::resume() {
-  if (fiber_backend()) {
-    if (state_ == State::Done) return;  // finished before a stale wake-up
-    state_ = State::Running;
-    engine_.run_resume(*this);
-    if (state_ == State::Done) finish_cleanup();
-    return;
-  }
-  {
-    std::unique_lock lk(mu_);
-    if (state_ == State::Done) return;  // finished before a stale wake-up
-    token_with_process_ = true;
-    state_ = State::Running;
-    cv_.notify_all();
-    // Wait for the process to park again or finish.
-    cv_.wait(lk, [this] { return !token_with_process_; });
-  }
-  if (state_ == State::Done) finish_cleanup();
+  if (done_) return;  // finished before a stale wake-up
+  Process* prev = current_;
+  current_ = this;
+  fiber_->resume();
+  current_ = prev;
+  if (done_) finish_cleanup();
 }
 
 void Process::park() {
-  if (fiber_backend()) {
-    state_ = State::Blocked;
-    fiber_->yield();
-    if (abandoned_) throw AbandonedProcess{};
-    state_ = State::Running;
-    return;
-  }
-  std::unique_lock lk(mu_);
-  state_ = State::Blocked;
-  token_with_process_ = false;
-  cv_.notify_all();
-  cv_.wait(lk, [this] { return token_with_process_; });
-  if (state_ == State::Done) {
-    throw AbandonedProcess{};
-  }
-  state_ = State::Running;
+  fiber_->yield();
+  if (abandoned_) throw AbandonedProcess{};
 }
 
 void Process::finish_cleanup() {
-  // Release the execution context and the body closure the moment the body
+  // Release the fiber stack and the body closure the moment the body
   // returns: at thousands of ranks the stacks and captured state are the
   // dominant memory, and keeping them until teardown is an O(all ranks)
   // cost the scheduler is designed to avoid.
-  if (thread_.joinable()) thread_.join();
   fiber_.reset();
   body_ = nullptr;
   engine_.note_process_finished();

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "env_guard.hpp"
 #include "mpi/mr_cache.hpp"
 #include "mpi/runtime.hpp"
 #include "mpi/wire.hpp"
@@ -39,30 +40,6 @@ void expect_violation(CheckKind kind, Fn&& fn) {
   }
 }
 
-/// Scoped DCFA_CHECK override (restores the previous value on destruction).
-class ScopedCheckEnv {
- public:
-  explicit ScopedCheckEnv(const char* value) {
-    const char* old = std::getenv("DCFA_CHECK");
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value)
-      setenv("DCFA_CHECK", value, 1);
-    else
-      unsetenv("DCFA_CHECK");
-  }
-  ~ScopedCheckEnv() {
-    if (had_old_)
-      setenv("DCFA_CHECK", old_.c_str(), 1);
-    else
-      unsetenv("DCFA_CHECK");
-  }
-
- private:
-  bool had_old_ = false;
-  std::string old_;
-};
-
 }  // namespace
 
 // --- levels -----------------------------------------------------------------
@@ -77,7 +54,7 @@ TEST(CheckLevelParsing, KnownLevelsAndDefault) {
 }
 
 TEST(CheckLevelParsing, EnvUnsetMeansCheap) {
-  ScopedCheckEnv env(nullptr);
+  EnvGuard env("DCFA_CHECK", nullptr);
   EXPECT_EQ(Checker::level_from_env(), CheckLevel::Cheap);
 }
 
@@ -391,7 +368,7 @@ TEST(CheckWire, OverrunningCopyThrowsWireBounds) {
 // --- end-to-end: MR cache hands out a stale registration --------------------
 
 TEST(CheckEndToEnd, MrCacheStaleEntryIsCaughtAtHandout) {
-  ScopedCheckEnv env("cheap");
+  EnvGuard env("DCFA_CHECK", "cheap");
   sim::Engine engine;
   sim::Platform platform;
   ib::Fabric fabric{engine, platform};
@@ -737,7 +714,7 @@ namespace {
 /// producer's conflicting write with no edge: race-channel-cell.
 /// Returns the violation message, or "" for a clean run.
 std::string hidden_race_outcome(const sim::SchedConfig& cfg) {
-  ScopedCheckEnv env("full");
+  EnvGuard env("DCFA_CHECK", "full");
   sim::Engine en(cfg);
   Checker& chk = en.checker();
   constexpr std::uint64_t kDb = 0xdb00;
@@ -814,10 +791,55 @@ TEST(CheckRaceExplore, JunkReplayTokensAreRejected) {
   EXPECT_THROW(sim::SchedConfig::from_token(""), std::invalid_argument);
 }
 
+TEST(SchedConfigEnv, AcceptsFifoAndExploreOnly) {
+  EnvGuard sched("DCFA_SIM_SCHED", nullptr);
+  EnvGuard seed("DCFA_SIM_SEED", nullptr);
+  EnvGuard replay("DCFA_SIM_SCHEDULE", nullptr);
+  EXPECT_FALSE(sim::SchedConfig::from_env().explore());
+  {
+    EnvGuard fifo("DCFA_SIM_SCHED", "fifo");
+    EXPECT_FALSE(sim::SchedConfig::from_env().explore());
+  }
+  // The removed per-process thread backend and junk are both rejected, and
+  // the message names what is accepted.
+  for (const char* bad : {"thread", "fiber", "", "explore2"}) {
+    EnvGuard g("DCFA_SIM_SCHED", bad);
+    try {
+      sim::SchedConfig::from_env();
+      ADD_FAILURE() << "DCFA_SIM_SCHED='" << bad << "' was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'fifo' or 'explore'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(SchedConfigEnv, ExploreTakesItsSeedAndTheReplayTokenWins) {
+  EnvGuard sched("DCFA_SIM_SCHED", "explore");
+  EnvGuard seed("DCFA_SIM_SEED", "42");
+  EnvGuard replay("DCFA_SIM_SCHEDULE", nullptr);
+  sim::SchedConfig cfg = sim::SchedConfig::from_env();
+  EXPECT_TRUE(cfg.explore());
+  EXPECT_EQ(cfg.seed, 42u);
+  EXPECT_EQ(cfg.schedule_token(), "x1:2a");
+  {
+    // A replay token pins order and seed over both other variables, even
+    // when DCFA_SIM_SCHED asks for Fifo.
+    EnvGuard token("DCFA_SIM_SCHEDULE", "x1:ff");
+    EnvGuard fifo("DCFA_SIM_SCHED", "fifo");
+    cfg = sim::SchedConfig::from_env();
+    EXPECT_TRUE(cfg.explore());
+    EXPECT_EQ(cfg.seed, 0xffu);
+  }
+  EnvGuard junk_seed("DCFA_SIM_SEED", "12ab");
+  EXPECT_THROW(sim::SchedConfig::from_env(), std::invalid_argument);
+}
+
 // --- event-driven progress: the ready set must cover every landing ---------
 
 TEST(CheckReadySet, RingWriteThatBypassesTheObserverIsAMiss) {
-  ScopedCheckEnv env("full");
+  EnvGuard env("DCFA_CHECK", "full");
   mpi::RunConfig cfg;
   cfg.mode = mpi::MpiMode::HostMpi;
   cfg.nprocs = 2;
@@ -855,7 +877,7 @@ TEST(CheckReadySet, RingWriteThatBypassesTheObserverIsAMiss) {
 namespace {
 
 void run_checked(mpi::MpiMode mode) {
-  ScopedCheckEnv env("full");
+  EnvGuard env("DCFA_CHECK", "full");
   mpi::RunConfig cfg;
   cfg.mode = mode;
   cfg.nprocs = 4;

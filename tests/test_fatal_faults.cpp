@@ -14,8 +14,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "env_guard.hpp"
 #include "mpi/runtime.hpp"
 #include "sim/fault.hpp"
 
@@ -285,9 +287,14 @@ TEST(FatalFaults, SameSeedReproducesReconnectsAndTrace) {
 // data / DONE exchange.
 // ---------------------------------------------------------------------------
 
-TEST(FatalFaults, AnySourceRendezvousSurvivesReconnect) {
+namespace {
+
+/// Sweeps one injected wedge across the exchange; returns the reconnect and
+/// dropped-duplicate counts summed over every sweep point.
+std::pair<std::uint64_t, std::uint64_t> anysource_rendezvous_sweep() {
   constexpr std::size_t kRndvBytes = 32 * 1024;  // > eager_threshold
   std::uint64_t total_reconnects = 0;
+  std::uint64_t total_dups = 0;
 
   // Sweep the single injected wedge across the protocol exchange: each skip
   // value moves the fatal onto a different faultable WR (warmup packets,
@@ -334,10 +341,32 @@ TEST(FatalFaults, AnySourceRendezvousSurvivesReconnect) {
     EXPECT_EQ(s1.retry_exhausted, 0u);
     EXPECT_EQ(s0.proxy_failovers, 0u);
     EXPECT_EQ(s1.proxy_failovers, 0u);
+    // Rank 1 receives exactly one rendezvous message: one RDMA read or one
+    // receiver-first DONE completes it, never both and never two of one.
+    EXPECT_EQ(s1.sender_first + s1.receiver_first, 1u);
     total_reconnects += s0.reconnects + s1.reconnects;
+    total_dups += s0.dup_packets_dropped + s1.dup_packets_dropped;
   }
+  return {total_reconnects, total_dups};
+}
+
+}  // namespace
+
+TEST(FatalFaults, AnySourceRendezvousSurvivesReconnect) {
   // At least one sweep point actually hit the exchange and reconnected.
-  EXPECT_GE(total_reconnects, 1u);
+  EXPECT_GE(anysource_rendezvous_sweep().first, 1u);
+}
+
+// Under this explore schedule the sender's reconnect replays an RTS whose
+// original already started the receiver's RDMA read. The replay must be
+// dropped as a duplicate: admitting it again fails DcfaCheck's
+// seq-regression check, and reading twice completes the receive twice.
+TEST(FatalFaults, AnySourceRendezvousReplayedRtsIsDroppedOnce) {
+  EnvGuard check("DCFA_CHECK", "full");
+  EnvGuard schedule("DCFA_SIM_SCHEDULE", "x1:1");
+  const auto [reconnects, dups] = anysource_rendezvous_sweep();
+  EXPECT_GE(reconnects, 1u);
+  EXPECT_GE(dups, 1u);
 }
 
 // ---------------------------------------------------------------------------
