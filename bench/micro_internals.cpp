@@ -128,7 +128,7 @@ static void BM_EngineEventThroughput(benchmark::State& state) {
 BENCHMARK(BM_EngineEventThroughput);
 
 static void BM_ProcessContextSwitch(benchmark::State& state) {
-  // One park/resume pair of a cooperative process (OS-thread handoff):
+  // One park/resume pair of a cooperative process (two fiber switches):
   // the simulator's fundamental cost per blocking call.
   for (auto _ : state) {
     state.PauseTiming();

@@ -7,8 +7,8 @@
 //
 // Emitted BENCH_scale_ranks.json separates the two kinds of numbers:
 //   * metric() rows are virtual-time results (elapsed ms, message counts,
-//     schedule digests) plus the engine's host-work counters (progress
-//     passes, endpoint visits) — deterministic, gated by
+//     schedule digests) plus the host-work counters (progress passes,
+//     endpoint visits, fiber switches) — deterministic, gated by
 //     bench_trajectory.py.
 //   * config() rows are host measurements (wall-clock ms, peak RSS MiB per
 //     sweep point) — machine-dependent, recorded for trending but never
@@ -84,8 +84,9 @@ std::uint64_t total_stat(const traffic::ScenarioResult& res,
   return n;
 }
 
-/// Host-work counters: how many progress passes the ranks ran and how many
-/// endpoints those passes visited. Wall ms is noisy; these are exact.
+/// Host-work counters: how many progress passes the ranks ran, how many
+/// endpoints those passes visited, and how many fiber switches the whole
+/// run made. Wall ms is noisy; these are exact.
 void host_work_metrics(bench::JsonReport& rep, const std::string& label,
                        const traffic::ScenarioResult& res) {
   rep.metric(label, "progress_passes",
@@ -96,6 +97,8 @@ void host_work_metrics(bench::JsonReport& rep, const std::string& label,
              static_cast<double>(
                  total_stat(res, &mpi::Engine::Stats::endpoint_visits)),
              "visits");
+  rep.metric(label, "fiber_switches",
+             static_cast<double>(res.fiber_switches), "switches");
 }
 
 std::string hex_digest(std::uint64_t d) {

@@ -29,13 +29,17 @@ see (docs/checking.md has the rationale and the paper references):
                   RDMA post anywhere else in src/mpi bypasses
                   chk().rma_remote_access and the passive-target epoch
                   ledgers — DcfaCheck would be blind to the access.
-  raw-swapcontext swapcontext()/setcontext() may only appear in
+  raw-swapcontext the fiber switch, dcfa_fiber_switch, may only appear in
                   src/sim/fiber.cpp (Fiber::resume/yield and a finished
-                  fiber's exit). A context switch anywhere else
-                  escapes the engine's event queue, which breaks both the
-                  determinism contract and schedule exploration
+                  fiber's exit), and the libc ucontext calls
+                  (swapcontext, setcontext, makecontext, getcontext) may
+                  not appear in src/ at all. A context switch anywhere
+                  else escapes the engine's event queue, which breaks both
+                  the determinism contract and schedule exploration
                   (DCFA_SIM_SCHED=explore can only permute decisions that
-                  flow through Engine::schedule_at).
+                  flow through Engine::schedule_at); a ucontext switch
+                  would also bring back the signal-mask syscall the fiber
+                  switch exists to avoid.
 
 A file can waive one rule with a justified marker comment:
 
@@ -117,9 +121,10 @@ RMA_OPCODE = re.compile(r"Opcode::Rdma(?:Write|Read)\b")
 # raw-swapcontext: the one file that owns context switching. Everything the
 # simulator runs must block/resume through Engine::schedule_at so that
 # schedule exploration (and its replay tokens) covers every interleaving
-# decision; a stray swapcontext would be an invisible scheduling choice.
-SWAPCONTEXT_ALLOWED = ["src/sim/fiber.cpp"]
-SWAPCONTEXT_CALL = re.compile(r"\b(?:swap|set)context\s*\(")
+# decision; a stray switch would be an invisible scheduling choice.
+FIBER_SWITCH_ALLOWED = ["src/sim/fiber.cpp"]
+FIBER_SWITCH = re.compile(r"\bdcfa_fiber_switch\b")
+UCONTEXT_CALL = re.compile(r"\b(?:swap|set|make|get)context\b")
 
 WAIVER = re.compile(r"//\s*dcfa-lint:\s*allow-file\((?P<rule>[\w-]+)\)(?P<just>.*)")
 
@@ -277,12 +282,16 @@ def check_rma_epoch(path: Path, rel: str, lines: list[str]) -> None:
 
 
 def check_swapcontext(path: Path, rel: str, lines: list[str]) -> None:
-    if rel in SWAPCONTEXT_ALLOWED:
-        return
     for i, line in enumerate(lines, 1):
-        if SWAPCONTEXT_CALL.search(strip_comments(line)):
+        code = strip_comments(line)
+        if rel.startswith("src/") and UCONTEXT_CALL.search(code):
             finding(path, i, "raw-swapcontext",
-                    "swapcontext/setcontext outside src/sim/fiber.cpp: a "
+                    "ucontext call in src/: fibers switch through "
+                    "dcfa_fiber_switch in src/sim/fiber.cpp, which makes no "
+                    "signal-mask syscall")
+        if rel not in FIBER_SWITCH_ALLOWED and FIBER_SWITCH.search(code):
+            finding(path, i, "raw-swapcontext",
+                    "dcfa_fiber_switch outside src/sim/fiber.cpp: a "
                     "context switch that does not flow through "
                     "Engine::schedule_at is an interleaving decision the "
                     "explore scheduler can neither permute nor replay")

@@ -151,8 +151,11 @@ std::size_t Hca::total_length(const std::vector<Sge>& sges) {
 
 std::optional<WcStatus> Hca::check_sges(ProtectionDomain& pd,
                                         const std::vector<Sge>& sges,
-                                        bool need_local_write) {
-  for (const Sge& s : sges) {
+                                        bool need_local_write,
+                                        std::vector<MemoryRegion*>* mrs) {
+  if (mrs) mrs->assign(sges.size(), nullptr);
+  for (std::size_t i = 0; i < sges.size(); ++i) {
+    const Sge& s = sges[i];
     if (s.length == 0) continue;
     // Fail fast on a dead or mis-sized key before the HCA-model lookup: the
     // checker has the registration ledger, so a use-after-dereg surfaces as
@@ -165,6 +168,7 @@ std::optional<WcStatus> Hca::check_sges(ProtectionDomain& pd,
     if (need_local_write && !(mr->access() & kLocalWrite)) {
       return WcStatus::LocalProtectionError;
     }
+    if (mrs) (*mrs)[i] = mr;
   }
   return std::nullopt;
 }
@@ -234,9 +238,12 @@ void Hca::execute_send(QueuePair* qp, SendWr wr) {
   sim::Time start = engine_.now() + platform_.hca_wqe_overhead;
   const std::size_t bytes = total_length(wr.sg_list);
 
-  // Local SGE validation. RDMA-read WRs *write* locally.
+  // Local SGE validation. RDMA-read WRs *write* locally. The MRs it
+  // resolves (sge_mrs_) price the local DMA stage below; the landing
+  // callbacks re-resolve by key, because teardown may deregister an MR
+  // while its WR is in flight.
   const bool local_write = wr.opcode == Opcode::RdmaRead;
-  if (auto bad = check_sges(qp->pd(), wr.sg_list, local_write)) {
+  if (auto bad = check_sges(qp->pd(), wr.sg_list, local_write, &sge_mrs_)) {
     fail_post(qp, wr, *bad);
     return;
   }
@@ -328,18 +335,16 @@ void Hca::execute_send(QueuePair* qp, SendWr wr) {
       // host shadow buffer): weight by bytes.
       if (bytes == 0) return platform_.hca_read_host_gbps;
       double total_ns = 0;
-      for (const Sge& s : wr.sg_list) {
-        if (s.length == 0) continue;
-        auto c = read_cost(mr_by_lkey(s.lkey)->domain());
-        total_ns += static_cast<double>(s.length) / c.gbps;
+      for (std::size_t i = 0; i < wr.sg_list.size(); ++i) {
+        if (wr.sg_list[i].length == 0) continue;
+        auto c = read_cost(sge_mrs_[i]->domain());
+        total_ns += static_cast<double>(wr.sg_list[i].length) / c.gbps;
       }
       return static_cast<double>(bytes) / (total_ns > 0 ? total_ns : 1);
     }();
     sim::Time read_lat = 0;
-    for (const Sge& s : wr.sg_list) {
-      if (s.length == 0) continue;
-      read_lat = std::max(read_lat, read_cost(mr_by_lkey(s.lkey)->domain())
-                                        .latency);
+    for (const MemoryRegion* mr : sge_mrs_) {
+      if (mr) read_lat = std::max(read_lat, read_cost(mr->domain()).latency);
     }
 
     const std::uint64_t chunk = platform_.ib_chunk_bytes;
@@ -394,18 +399,16 @@ void Hca::execute_send(QueuePair* qp, SendWr wr) {
     const double read_gbps = [&] {
       if (bytes == 0) return platform_.hca_read_host_gbps;
       double total_ns = 0;
-      for (const Sge& s : wr.sg_list) {
-        if (s.length == 0) continue;
-        total_ns += static_cast<double>(s.length) /
-                    read_cost(mr_by_lkey(s.lkey)->domain()).gbps;
+      for (std::size_t i = 0; i < wr.sg_list.size(); ++i) {
+        if (wr.sg_list[i].length == 0) continue;
+        total_ns += static_cast<double>(wr.sg_list[i].length) /
+                    read_cost(sge_mrs_[i]->domain()).gbps;
       }
       return static_cast<double>(bytes) / (total_ns > 0 ? total_ns : 1);
     }();
     sim::Time read_lat = 0;
-    for (const Sge& s : wr.sg_list) {
-      if (s.length == 0) continue;
-      read_lat =
-          std::max(read_lat, read_cost(mr_by_lkey(s.lkey)->domain()).latency);
+    for (const MemoryRegion* mr : sge_mrs_) {
+      if (mr) read_lat = std::max(read_lat, read_cost(mr->domain()).latency);
     }
     const DmaCost wcost = remote.write_cost(rmr->domain());
 
@@ -485,10 +488,10 @@ void Hca::execute_send(QueuePair* qp, SendWr wr) {
       write_gbps = platform_.hca_write_host_gbps;
     } else {
       double total_ns = 0;
-      for (const Sge& s : wr.sg_list) {
-        if (s.length == 0) continue;
-        auto c = write_cost(mr_by_lkey(s.lkey)->domain());
-        total_ns += static_cast<double>(s.length) / c.gbps;
+      for (std::size_t i = 0; i < wr.sg_list.size(); ++i) {
+        if (wr.sg_list[i].length == 0) continue;
+        auto c = write_cost(sge_mrs_[i]->domain());
+        total_ns += static_cast<double>(wr.sg_list[i].length) / c.gbps;
         write_lat = std::max(write_lat, c.latency);
       }
       write_gbps = static_cast<double>(bytes) / (total_ns > 0 ? total_ns : 1);

@@ -3,6 +3,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 
 #include "ib/types.hpp"
 #include "pcie/pcie.hpp"
@@ -218,10 +219,13 @@ class Hca {
   static std::size_t total_length(const std::vector<Sge>& sges);
 
   /// Validate each SGE against an MR (lkey, bounds, pd). Returns the first
-  /// failing status or nullopt when all pass.
+  /// failing status or nullopt when all pass. When `mrs` is given and every
+  /// SGE passes, it holds the MR each SGE resolved to (nullptr for
+  /// zero-length SGEs).
   std::optional<WcStatus> check_sges(ProtectionDomain& pd,
                                      const std::vector<Sge>& sges,
-                                     bool need_local_write);
+                                     bool need_local_write,
+                                     std::vector<MemoryRegion*>* mrs = nullptr);
 
   void complete(QueuePair* qp, CompletionQueue& cq, const SendWr& wr,
                 WcOpcode op, WcStatus status, std::size_t bytes,
@@ -248,10 +252,14 @@ class Hca {
   std::uint64_t mr_reg_count_ = 0;
 
   std::map<int, std::unique_ptr<ProtectionDomain>> pds_;
-  std::map<MKey, std::unique_ptr<MemoryRegion>> mrs_by_lkey_;
-  std::map<MKey, MemoryRegion*> mrs_by_rkey_;
+  // Looked up by exact key on every post and landing, never iterated.
+  std::unordered_map<MKey, std::unique_ptr<MemoryRegion>> mrs_by_lkey_;
+  std::unordered_map<MKey, MemoryRegion*> mrs_by_rkey_;
   std::map<int, std::unique_ptr<CompletionQueue>> cqs_;
-  std::map<Qpn, std::unique_ptr<QueuePair>> qps_;
+  std::unordered_map<Qpn, std::unique_ptr<QueuePair>> qps_;
+  /// execute_send's local MRs, one per SGE, as check_sges resolved them.
+  /// A member so a post does not allocate; execute_send never nests.
+  std::vector<MemoryRegion*> sge_mrs_;
   std::vector<std::function<void(MKey)>> remote_write_observers_;
 
   void notify_remote_write(MKey rkey) {

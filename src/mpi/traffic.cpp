@@ -780,6 +780,7 @@ ScenarioResult run_scenario(const Scenario& sc, const RunConfig& base) {
   res.digest = schedule_digest(sched);
   res.elapsed = rt.elapsed();
   res.check_events = rt.sim().checker().events();
+  res.fiber_switches = rt.sim().fiber_switches();
   if (rt.faults() != nullptr) res.injected = rt.faults()->counters();
   for (int r = 0; r < P; ++r) {
     if (completed[r] == 0) continue;  // killed ranks: no leak/detect data

@@ -156,6 +156,8 @@ struct ScenarioResult {
   sim::FaultInjector::Counters injected{};
   /// DcfaCheck evaluations over the run (asserting the checker ran).
   std::uint64_t check_events = 0;
+  /// Fiber switches over the run (sim::Engine::fiber_switches).
+  std::uint64_t fiber_switches = 0;
   /// Sum over ranks of (live node-memory allocations at body end) minus
   /// (at body start): lazily-grown cache state shows up here once; real
   /// leaks grow with the workload (the soak test's invariant). Killed ranks

@@ -13,7 +13,6 @@ const char* check_kind_name(CheckKind k) {
     case CheckKind::CreditRegression: return "credit-regression";
     case CheckKind::DoubleCredit: return "double-credit";
     case CheckKind::MrUseAfterDereg: return "mr-use-after-dereg";
-    case CheckKind::MrUnknownKey: return "mr-unknown-key";
     case CheckKind::MrOutOfBounds: return "mr-out-of-bounds";
     case CheckKind::StaleEpoch: return "stale-epoch";
     case CheckKind::EpochRegression: return "epoch-regression";
@@ -89,16 +88,15 @@ std::string chan_str(const char* role, int rank, int peer, std::uint32_t comm,
 }  // namespace
 
 // Sequence ids are 0-based per channel and must advance by exactly 1 per
-// assignment/acceptance. The ledger stores the last seen id; map presence
-// distinguishes "nothing yet" from "last was 0", keeping the first id
-// strictly checked too.
-void Checker::check_seq(std::map<ChannelKey, std::uint64_t>& ledger,
-                        const char* role, int rank, int peer,
-                        std::uint32_t comm, int tag, std::uint64_t seq) {
+// assignment/acceptance. The ledger stores the next expected id, so one
+// lookup serves both the check and the advance; a channel seen for the
+// first time value-initializes to 0, keeping the first id strictly checked
+// too. A violation throws before the advance, leaving the ledger as it was.
+void Checker::check_seq(SeqLedger& ledger, const char* role, int rank,
+                        int peer, std::uint32_t comm, int tag,
+                        std::uint64_t seq) {
   count();
-  const ChannelKey key{rank, peer, comm, tag};
-  auto it = ledger.find(key);
-  const std::uint64_t expected = it == ledger.end() ? 0 : it->second + 1;
+  std::uint64_t& expected = ledger[ChannelKey{rank, peer, comm, tag}];
   if (seq < expected)
     violate(CheckKind::SeqRegression,
             std::string(role) + " seq " + std::to_string(seq) +
@@ -110,7 +108,7 @@ void Checker::check_seq(std::map<ChannelKey, std::uint64_t>& ledger,
                 std::to_string(seq) + " (expected " +
                 std::to_string(expected) + ", " +
                 chan_str(role, rank, peer, comm, tag) + ")");
-  ledger[key] = seq;
+  expected = seq + 1;
 }
 
 namespace {

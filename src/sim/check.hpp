@@ -35,7 +35,6 @@ enum class CheckKind {
   CreditRegression,///< a credit counter (written or read) moved backwards
   DoubleCredit,    ///< credit value inconsistent with the consumed ledger
   MrUseAfterDereg, ///< an lkey/rkey was used after dereg_mr released it
-  MrUnknownKey,    ///< an lkey/rkey was used that was never registered
   MrOutOfBounds,   ///< an MR use fell outside the registered window (Full)
   StaleEpoch,      ///< a packet with a stale conn_epoch got past the fence
   EpochRegression, ///< a connection epoch moved backwards
@@ -307,11 +306,19 @@ class Checker {
     int peer;
     std::uint32_t comm;
     int tag;
-    bool operator<(const ChannelKey& o) const {
-      if (rank != o.rank) return rank < o.rank;
-      if (peer != o.peer) return peer < o.peer;
-      if (comm != o.comm) return comm < o.comm;
-      return tag < o.tag;
+    bool operator==(const ChannelKey&) const = default;
+  };
+  struct ChannelKeyHash {
+    std::size_t operator()(const ChannelKey& k) const {
+      const std::uint64_t ends =
+          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.rank))
+           << 32) |
+          static_cast<std::uint32_t>(k.peer);
+      const std::uint64_t what =
+          (static_cast<std::uint64_t>(k.comm) << 32) |
+          static_cast<std::uint32_t>(k.tag);
+      return std::hash<std::uint64_t>{}(ends ^
+                                        (what * 0x9E3779B97F4A7C15ull));
     }
   };
   struct MrKey {
@@ -330,9 +337,14 @@ class Checker {
   struct PairKey {
     int rank;
     int peer;
-    bool operator<(const PairKey& o) const {
-      if (rank != o.rank) return rank < o.rank;
-      return peer < o.peer;
+    bool operator==(const PairKey&) const = default;
+  };
+  struct PairKeyHash {
+    std::size_t operator()(const PairKey& k) const {
+      return std::hash<std::uint64_t>{}(
+          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.rank))
+           << 32) |
+          static_cast<std::uint32_t>(k.peer));
     }
   };
   struct CreditState {
@@ -358,9 +370,12 @@ class Checker {
 
   [[noreturn]] void violate(CheckKind kind, const std::string& what);
   void count() { ++events_; }
-  void check_seq(std::map<ChannelKey, std::uint64_t>& ledger,
-                 const char* role, int rank, int peer, std::uint32_t comm,
-                 int tag, std::uint64_t seq);
+  /// Sequence ledger: the next id each channel expects (a missing entry and
+  /// a value-initialized one both mean 0, nothing seen yet).
+  using SeqLedger =
+      std::unordered_map<ChannelKey, std::uint64_t, ChannelKeyHash>;
+  void check_seq(SeqLedger& ledger, const char* role, int rank, int peer,
+                 std::uint32_t comm, int tag, std::uint64_t seq);
 
   // --- happens-before engine (Full only) ----------------------------------
   struct RaceAccess {
@@ -404,16 +419,17 @@ class Checker {
     std::set<std::uint64_t> claimed;
   };
 
-  std::map<ChannelKey, std::uint64_t> send_seq_;    // last assigned send seq
-  std::map<ChannelKey, std::uint64_t> recv_seq_;    // last assigned recv seq
-  std::map<ChannelKey, AcceptState> accepted_;
-  std::map<PairKey, CreditState> credit_;
-  std::map<PairKey, std::uint32_t> epoch_;
+  // The per-packet ledgers are only ever looked up by exact key, never
+  // iterated, hence hashed.
+  SeqLedger send_seq_;  // next expected send seq
+  SeqLedger recv_seq_;  // next expected recv seq
+  std::unordered_map<ChannelKey, AcceptState, ChannelKeyHash> accepted_;
+  std::unordered_map<PairKey, CreditState, PairKeyHash> credit_;
+  std::unordered_map<PairKey, std::uint32_t, PairKeyHash> epoch_;
   // Keyed by (protection domain, key): key counters are per-Hca, so the
   // same numeric key legitimately recurs across ranks. Within one PD keys
   // are monotonic and never reused (ib::Hca hands out next_key_++), so a
-  // dead key stays in the map forever as a tombstone. Only ever looked up
-  // by exact key, never iterated, hence hashed.
+  // dead key stays in the map forever as a tombstone.
   std::unordered_map<MrKey, MrState, MrKeyHash> mrs_;
   // (rank, comm, slot) -> check_id; ranks share the checker but each has
   // its own independent copy of the rotating window.

@@ -82,6 +82,11 @@ class Engine {
   /// Total events executed so far (for determinism tests and stats).
   std::uint64_t events_executed() const { return events_executed_; }
 
+  /// Fiber switches so far: two per process resume, into the fiber and back
+  /// out when it parks or finishes. A host-work counter, as deterministic
+  /// as the event order.
+  std::uint64_t fiber_switches() const { return fiber_switches_; }
+
   /// The scheduler configuration this engine runs under.
   const SchedConfig& sched_config() const { return sched_; }
 
@@ -120,6 +125,7 @@ class Engine {
   bool process_failed_ = false;  // set by Process when a body dies on an exception
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_executed_ = 0;
+  std::uint64_t fiber_switches_ = 0;
   std::size_t live_ = 0;
   SchedConfig sched_;
   std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;

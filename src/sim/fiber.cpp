@@ -9,11 +9,15 @@
 #include <stdexcept>
 #include <string>
 
-// Sanitizer detection. Both ASan and TSan follow a fiber across ucontext
-// switches only when told about them: ASan through the
+#if !defined(__x86_64__)
+#error "src/sim/fiber.cpp: the fiber switch is written for x86-64 only"
+#endif
+
+// Sanitizer detection. Both ASan and TSan follow a fiber across a stack
+// switch only when told about it: ASan through the
 // __sanitizer_*_switch_fiber protocol, TSan through __tsan_*_fiber. Each
 // annotation sits immediately before (or, for ASan's finish half, after)
-// the swapcontext it describes.
+// the dcfa_fiber_switch it describes.
 #if defined(__has_feature)
 #if __has_feature(address_sanitizer)
 #define DCFA_FIBER_ASAN 1
@@ -48,12 +52,59 @@ void __tsan_switch_to_fiber(void* fiber, unsigned flags);
 }
 #endif
 
+// dcfa_fiber_switch(save, load): push the running context's callee-saved
+// state onto its own stack, store that stack pointer in *save, adopt the
+// stack pointer `load`, and pop the state saved there. The SysV ABI makes
+// rbx, rbp, r12-r15, the MXCSR control bits and the x87 control word
+// callee-saved; every other register is the caller's to preserve across a
+// call, so this is the whole context. Unlike glibc's context switch it
+// leaves the signal mask alone, which is what makes a switch free of
+// syscalls.
+// It keeps no CET shadow stack in step, so it assumes the process runs
+// without one, as glibc starts every process unless told otherwise.
+// Frame at *save, from the saved stack pointer up:
+//   [0] x87 control word  [8] MXCSR  [16] r15 r14 r13 r12 rbx rbp  [64] ret
+// Fiber::resume builds the same frame by hand for a fiber's first entry.
+extern "C" void dcfa_fiber_switch(void** save, void* load);
+
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .globl dcfa_fiber_switch
+  .hidden dcfa_fiber_switch
+  .type dcfa_fiber_switch, @function
+dcfa_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $16, %rsp
+  stmxcsr 8(%rsp)
+  fnstcw (%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  fldcw (%rsp)
+  ldmxcsr 8(%rsp)
+  addq $16, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size dcfa_fiber_switch, .-dcfa_fiber_switch
+  .popsection
+)");
+
 namespace dcfa::sim {
 
 namespace {
 
-// makecontext's entry function takes no usable pointer-sized argument
-// portably; the fiber being entered parks itself here just before the
+// The hand-built first frame returns into Fiber::trampoline, which takes
+// no argument; the fiber being entered parks itself here just before the
 // switch. One OS thread runs every fiber, so a plain static suffices.
 Fiber* entering = nullptr;
 
@@ -187,23 +238,37 @@ void Fiber::enter() {
 #ifdef DCFA_FIBER_TSAN
   __tsan_switch_to_fiber(tsan_resumer_, 0);
 #endif
-  // Leave by an explicit switch rather than by returning into uc_link: no
-  // instrumented epilogue may run on this stack once the sanitizers have
-  // been told we are back on the resumer's.
-  setcontext(&return_ctx_);
+  // Leave by a final switch rather than by returning: trampoline has no
+  // caller to return to, and no instrumented epilogue may run on this stack
+  // once the sanitizers have been told we are back on the resumer's. The
+  // stack pointer saved into self_sp_ is never resumed.
+  dcfa_fiber_switch(&self_sp_, return_sp_);
 }
 
 void Fiber::resume() {
   if (done_) return;
   if (!started_) {
     started_ = true;
-    if (getcontext(&self_) != 0) {
-      throw std::runtime_error("Fiber: getcontext failed");
-    }
-    self_.uc_stack.ss_sp = stack_base_;
-    self_.uc_stack.ss_size = stack_size_;
-    self_.uc_link = nullptr;  // enter() never returns
-    makecontext(&self_, &Fiber::trampoline, 0);
+    // The first frame, as dcfa_fiber_switch would have saved it, at the top
+    // of the stack. The fiber starts in its resumer's floating-point
+    // environment (x87 control word and MXCSR read here); the six
+    // callee-saved registers start at zero, and rbp = 0 ends frame-pointer
+    // walks at trampoline. The return slot lies on a 16-byte boundary with a
+    // null fake return address above it, so trampoline is entered with
+    // rsp = 8 (mod 16), exactly as after a call.
+    std::uint16_t fpcw = 0;
+    std::uint32_t mxcsr = 0;
+    asm volatile("fnstcw %0" : "=m"(fpcw));
+    asm volatile("stmxcsr %0" : "=m"(mxcsr));
+    auto* top = reinterpret_cast<std::uint64_t*>(
+        static_cast<char*>(stack_base_) + stack_size_);
+    std::uint64_t* frame = top - 10;
+    frame[0] = fpcw;
+    frame[1] = mxcsr;
+    for (int i = 2; i < 8; ++i) frame[i] = 0;  // r15 r14 r13 r12 rbx rbp
+    frame[8] = reinterpret_cast<std::uint64_t>(&Fiber::trampoline);
+    frame[9] = 0;
+    self_sp_ = frame;
     entering = this;
   }
 #ifdef DCFA_FIBER_ASAN
@@ -214,7 +279,7 @@ void Fiber::resume() {
   tsan_resumer_ = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
-  swapcontext(&return_ctx_, &self_);
+  dcfa_fiber_switch(&return_sp_, self_sp_);
 #ifdef DCFA_FIBER_ASAN
   __sanitizer_finish_switch_fiber(resumer_fake_stack_, nullptr, nullptr);
 #endif
@@ -228,7 +293,7 @@ void Fiber::yield() {
 #ifdef DCFA_FIBER_TSAN
   __tsan_switch_to_fiber(tsan_resumer_, 0);
 #endif
-  swapcontext(&self_, &return_ctx_);
+  dcfa_fiber_switch(&self_sp_, return_sp_);
 #ifdef DCFA_FIBER_ASAN
   // Re-record the resumer's stack on every entry, as the protocol asks.
   __sanitizer_finish_switch_fiber(own_fake_stack_, &from_stack_bottom_,

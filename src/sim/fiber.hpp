@@ -2,18 +2,20 @@
 
 // Stackful fibers for sim::Process (docs/simulator.md).
 //
-// A Fiber is a resumable execution context over ucontext with its own
-// mmap'd stack: a guard page at the low end, the rest lazily paged, so
-// thousands of simulated ranks cost virtual address space instead of OS
-// threads. Every fiber runs on the engine's one OS thread; resume() and
-// yield() are plain context switches, so the engine's event order — and
-// therefore every trace and Stats bag — depends only on the events.
+// A Fiber is a resumable execution context with its own mmap'd stack: a
+// guard page at the low end, the rest lazily paged, so thousands of
+// simulated ranks cost virtual address space instead of OS threads. Every
+// fiber runs on the engine's one OS thread. resume() and yield() are one
+// call to a small x86-64 switch routine in fiber.cpp that saves the
+// callee-saved registers, MXCSR and the x87 control word and swaps the
+// stack pointer: no syscall, no signal-mask round trip. The engine's event
+// order — and therefore every trace and Stats bag — depends only on the
+// events.
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <ucontext.h>
 
 namespace dcfa::sim {
 
@@ -85,8 +87,8 @@ class Fiber {
   std::size_t stack_size_ = 0;
   bool started_ = false;
   bool done_ = false;  ///< body returned; resume() is then a no-op
-  ucontext_t self_{};
-  ucontext_t return_ctx_{};
+  void* self_sp_ = nullptr;    ///< the fiber's saved stack pointer
+  void* return_sp_ = nullptr;  ///< the resumer's, saved by resume()
   // ASan fiber-switch bookkeeping (__sanitizer_*_switch_fiber protocol):
   // the resumer's fake-stack handle, the fiber's own handle across yields,
   // and the stack we most recently arrived from (switched back to on yield).

@@ -49,6 +49,7 @@ void Process::resume() {
   if (done_) return;  // finished before a stale wake-up
   Process* prev = current_;
   current_ = this;
+  engine_.fiber_switches_ += 2;
   fiber_->resume();
   current_ = prev;
   if (done_) finish_cleanup();

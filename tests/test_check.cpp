@@ -112,6 +112,22 @@ TEST(CheckSeq, FirstSeqMustBeZero) {
                    [&] { chk.send_seq_assigned(0, 1, 0, 5, 1); });
 }
 
+TEST(CheckSeq, ViolationLeavesTheLedgerUnmoved) {
+  // A hook that throws must not advance its channel: a test (or a caller)
+  // that swallows the CheckError sees the ledger exactly as before.
+  Checker chk(CheckLevel::Cheap);
+  expect_violation(CheckKind::SeqGap,
+                   [&] { chk.send_seq_assigned(0, 1, 0, 5, 1); });
+  chk.send_seq_assigned(0, 1, 0, 5, 0);  // the fresh channel still wants 0
+  chk.send_seq_assigned(0, 1, 0, 5, 1);
+  expect_violation(CheckKind::SeqGap,
+                   [&] { chk.send_seq_assigned(0, 1, 0, 5, 5); });
+  expect_violation(CheckKind::SeqRegression,
+                   [&] { chk.send_seq_assigned(0, 1, 0, 5, 1); });
+  chk.send_seq_assigned(0, 1, 0, 5, 2);
+  EXPECT_EQ(chk.violations(), 3u);
+}
+
 TEST(CheckSeq, UnclaimedHoleInAcceptOrderIsGap) {
   Checker chk(CheckLevel::Cheap);
   chk.packet_accepted(1, 0, 0, 5, 0);

@@ -81,7 +81,10 @@ TEST(DcfaCmd, ForeignObjectsRejected) {
     // A PD created behind DCFA's back is not in the client handle map.
     ib::ProtectionDomain* alien = c.hca0.alloc_pd();
     mem::Buffer buf = verbs.alloc_buffer(64, 64);
-    EXPECT_THROW(verbs.reg_mr(alien, buf, 0), std::invalid_argument);
+    ib::MemoryRegion* rejected = nullptr;
+    EXPECT_THROW(rejected = verbs.reg_mr(alien, buf, 0),
+                 std::invalid_argument);
+    EXPECT_EQ(rejected, nullptr);
   });
   c.engine.run();
 }

@@ -1,8 +1,14 @@
 // Unit tests for the discrete-event core: event ordering, process
-// scheduling, conditions, resources, deterministic RNG, time formatting.
+// scheduling, conditions, the fiber switch, resources, deterministic RNG,
+// time formatting.
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <cstdio>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -203,10 +209,10 @@ TEST(Process, ExceptionBeatsDeadlockReport) {
   try {
     engine.run();
     FAIL() << "expected exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "root cause");
   } catch (const DeadlockError&) {
     FAIL() << "deadlock masked the real error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "root cause");
   }
 }
 
@@ -242,6 +248,117 @@ TEST(Engine, DeterministicEventCountAcrossRuns) {
     return std::pair(engine.now(), engine.events_executed());
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+TEST(Engine, CountsTwoFiberSwitchesPerResume) {
+  Engine engine;
+  engine.spawn("p", [](Process& p) {
+    for (int i = 0; i < 3; ++i) p.wait(1);
+  });
+  engine.run();
+  // Resumed at spawn and after each of the three waits; each resume
+  // switches into the fiber and back.
+  EXPECT_EQ(engine.fiber_switches(), 8u);
+}
+
+// --- The hand-built first frame and the switch's saved state ---------------
+
+TEST(Fiber, FirstEntryStackIsAbiAligned) {
+  std::uintptr_t misalign = 1;
+  char text[32] = {};
+  Fiber f(
+      [&] {
+        alignas(16) char local[16] = {};
+        // Read back through a volatile so the compiler cannot fold the
+        // check from the declared alignment.
+        void* volatile where = local;
+        misalign = reinterpret_cast<std::uintptr_t>(where) % 16;
+        // printf's floating-point path spills SSE registers with aligned
+        // moves: a misaligned entry frame crashes here.
+        std::snprintf(text, sizeof text, "%f", 2.5);
+      },
+      64 * 1024);
+  f.resume();
+  EXPECT_EQ(misalign, 0u);
+  EXPECT_STREQ(text, "2.500000");
+}
+
+namespace {
+// 1/3 rounded under the current MXCSR mode; the volatile keeps the division
+// at run time.
+double third() {
+  volatile double one = 1.0;
+  return one / 3.0;
+}
+}  // namespace
+
+TEST(Fiber, RoundingModeStaysWithItsFiber) {
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  const double nearest = third();
+  int a_mode = -1, b_mode = -1, engine_mode = -1;
+  double a_third = 0, b_third = 0, engine_third = 0;
+  Engine engine;
+  engine.spawn("a", [&](Process& p) {
+    std::fesetround(FE_UPWARD);
+    p.wait(10);  // b runs and the engine steps while a is parked
+    a_mode = std::fegetround();
+    a_third = third();
+  });
+  engine.spawn("b", [&](Process& p) {
+    b_mode = std::fegetround();  // first entry, right after a parked
+    b_third = third();
+    p.wait(5);
+    std::fesetround(FE_DOWNWARD);  // and finishes in that mode
+  });
+  engine.schedule_at(7, [&] {
+    engine_mode = std::fegetround();
+    engine_third = third();
+  });
+  engine.run();
+  // The x87 control word (fegetround) and MXCSR (the SSE division) both
+  // follow the fiber that set them.
+  EXPECT_EQ(a_mode, FE_UPWARD);
+  EXPECT_GT(a_third, nearest);
+  EXPECT_EQ(b_mode, FE_TONEAREST);
+  EXPECT_EQ(b_third, nearest);
+  EXPECT_EQ(engine_mode, FE_TONEAREST);
+  EXPECT_EQ(engine_third, nearest);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(third(), nearest);
+}
+
+namespace {
+struct UnwindCounter {
+  int* n;
+  ~UnwindCounter() { ++*n; }
+};
+
+[[gnu::noinline]] int throw_from_depth(int depth, int* unwound) {
+  UnwindCounter guard{unwound};
+  if (depth == 0) throw std::runtime_error("bottom");
+  return throw_from_depth(depth - 1, unwound) + 1;  // not a tail call
+}
+}  // namespace
+
+TEST(Fiber, ExceptionThrownDeepIsCaughtInsideTheFiber) {
+  std::string caught;
+  int unwound = 0;
+  bool ran_on = false;
+  Engine engine;
+  engine.spawn("deep", [&](Process& p) {
+    p.wait(1);  // throw after a switch back in, not only on first entry
+    try {
+      throw_from_depth(64, &unwound);
+    } catch (const std::runtime_error& e) {
+      caught = e.what();
+    }
+    p.wait(1);
+    ran_on = true;
+  });
+  engine.run();
+  EXPECT_EQ(caught, "bottom");
+  EXPECT_EQ(unwound, 65);  // every frame's destructor ran
+  EXPECT_TRUE(ran_on);
 }
 
 TEST(Resource, FifoBooking) {
