@@ -1,13 +1,17 @@
 // Real-time micro-benchmarks (google-benchmark) of the library's hot
 // data structures — the costs that, in a real port of DCFA-MPI, run on a
 // 1 GHz in-order Phi core and must stay tiny: datatype pack/unpack, ring
-// packet encode/scan, MR cache lookups, sequence-channel matching, and the
+// packet encode/scan, MR cache lookups, sequence-channel matching, the
+// per-packet address and key lookups of the memory and HCA models, and the
 // discrete-event core itself.
 
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <vector>
 
+#include "ib/fabric.hpp"
+#include "mem/memory.hpp"
 #include "mpi/datatype.hpp"
 #include "mpi/packet.hpp"
 #include "sim/engine.hpp"
@@ -108,6 +112,68 @@ static void BM_ChannelMapLookup(benchmark::State& state) {
   benchmark::DoNotOptimize(found);
 }
 BENCHMARK(BM_ChannelMapLookup)->Arg(4)->Arg(64)->Arg(1024);
+
+// --- Per-packet lookups in the memory and HCA models ---------------------------
+
+static void BM_AddressSpaceResolve(benchmark::State& state) {
+  // Every DMA landing resolves its (address, length) window against the
+  // node's address space; rings, staging and credit cells make ~1000 live
+  // regions per node at scale.
+  mem::AddressSpace space(0, mem::Domain::HostDram, 1ull << 32);
+  sim::Rng rng(3);
+  std::vector<mem::Buffer> bufs;
+  for (int i = 0; i < 1024; ++i) {
+    bufs.push_back(space.alloc(64 + rng.below(8192)));
+  }
+  struct Window {
+    mem::SimAddr addr;
+    std::size_t len;
+  };
+  std::vector<Window> windows;
+  for (int i = 0; i < 4096; ++i) {
+    const mem::Buffer& b = bufs[rng.below(bufs.size())];
+    const std::size_t off = rng.below(b.size());
+    windows.push_back({b.addr() + off, 1 + rng.below(b.size() - off)});
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Window& w = windows[i++ & 4095];
+    benchmark::DoNotOptimize(space.resolve(w.addr, w.len));
+  }
+}
+BENCHMARK(BM_AddressSpaceResolve);
+
+static void BM_HcaKeyLookup(benchmark::State& state) {
+  // The lkey check of every post and the rkey check of every RDMA landing,
+  // over `range(0)` registered MRs with every other one deregistered (MR
+  // cache churn leaves dead keys behind).
+  sim::Engine engine;
+  sim::Platform platform;
+  ib::Fabric fabric{engine, platform};
+  mem::NodeMemory memory{0};
+  pcie::PciePort pcie{engine, memory, platform};
+  ib::Hca& hca = fabric.add_hca(memory, pcie);
+  ib::ProtectionDomain* pd = hca.alloc_pd();
+  const mem::Buffer buf = memory.alloc(mem::Domain::HostDram, 4096);
+  std::vector<ib::MKey> keys;
+  for (int i = 0; i < state.range(0); ++i) {
+    ib::MemoryRegion* mr = hca.reg_mr(pd, mem::Domain::HostDram, buf.addr(),
+                                      buf.size(), ib::kRemoteWrite);
+    keys.push_back(mr->lkey());
+    keys.push_back(mr->rkey());
+    if (i % 2 == 1) hca.dereg_mr(mr);
+  }
+  sim::Rng rng(5);
+  std::vector<ib::MKey> probes;
+  for (int i = 0; i < 4096; ++i) probes.push_back(keys[rng.below(keys.size())]);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const ib::MKey k = probes[i++ & 4095];
+    benchmark::DoNotOptimize(k % 2 == 0 ? hca.mr_by_lkey(k)
+                                        : hca.mr_by_rkey(k));
+  }
+}
+BENCHMARK(BM_HcaKeyLookup)->Arg(64)->Arg(4096)->Arg(65536);
 
 // --- Discrete-event core --------------------------------------------------------
 

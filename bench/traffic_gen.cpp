@@ -3,7 +3,9 @@
 // Runs the named workload scenarios — production-shaped size mixes, bursty
 // collective storms on overlapping communicators, stragglers, fault soak —
 // and reports per-phase sustained message rate, aggregate bandwidth and
-// p50/p99 completion latency, plus the engine and fault-injector counters.
+// p50/p99 completion latency, plus the engine and fault-injector counters
+// and the host-work counters (progress passes, endpoint visits, fiber
+// switches).
 // Everything is seeded and virtual-time deterministic, so the emitted
 // BENCH_traffic_gen.json is exact and scripts/bench_trajectory.py can gate
 // regressions against the committed baseline.
@@ -131,6 +133,18 @@ int main(int argc, char** argv) {
                  "us");
     }
     rep.metric(name, "elapsed_ms", sim::to_us(res.elapsed) / 1000.0, "ms");
+    // Host-work counters: exact where wall time is noisy. A change that
+    // makes each pass, visit or switch cheaper leaves them as they are.
+    rep.metric(name, "progress_passes",
+               static_cast<double>(
+                   sum_phase(res, &mpi::Engine::Stats::progress_passes)),
+               "passes");
+    rep.metric(name, "endpoint_visits",
+               static_cast<double>(
+                   sum_phase(res, &mpi::Engine::Stats::endpoint_visits)),
+               "visits");
+    rep.metric(name, "fiber_switches",
+               static_cast<double>(res.fiber_switches), "switches");
   }
 
   std::printf("\n(All numbers are virtual time from the deterministic "

@@ -58,25 +58,21 @@ MemoryRegion* Hca::reg_mr(ProtectionDomain* pd, mem::Domain domain,
   if (!memory_.space(domain).contains(addr, length)) {
     throw mem::BadAddress("reg_mr: window not backed by an allocation");
   }
-  MKey lkey = next_key_++;
-  MKey rkey = next_key_++;
-  auto mr = std::make_unique<MemoryRegion>(*pd, domain, addr, length, access,
-                                           lkey, rkey);
-  MemoryRegion* p = mr.get();
-  mrs_by_lkey_.emplace(lkey, std::move(mr));
-  mrs_by_rkey_.emplace(rkey, p);
+  const MKey lkey = kFirstKey + 2 * static_cast<MKey>(mrs_.size());
+  const MKey rkey = lkey + 1;
+  mrs_.push_back(std::make_unique<MemoryRegion>(*pd, domain, addr, length,
+                                                access, lkey, rkey));
   ++mr_reg_count_;
   engine_.checker().mr_registered(pd, lkey, rkey, addr, length);
-  return p;
+  return mrs_.back().get();
 }
 
 void Hca::dereg_mr(MemoryRegion* mr) {
-  if (!mr) throw std::invalid_argument("dereg_mr: null MR");
-  engine_.checker().mr_deregistered(&mr->pd(), mr->lkey(), mr->rkey());
-  mrs_by_rkey_.erase(mr->rkey());
-  if (mrs_by_lkey_.erase(mr->lkey()) == 0) {
+  if (!mr || mr_by_key(mr->lkey(), 0) != mr) {
     throw std::invalid_argument("dereg_mr: unknown MR");
   }
+  engine_.checker().mr_deregistered(&mr->pd(), mr->lkey(), mr->rkey());
+  mr->live_ = false;
 }
 
 CompletionQueue* Hca::create_cq(int capacity) {
@@ -99,17 +95,19 @@ QueuePair* Hca::create_qp(ProtectionDomain* pd, CompletionQueue* send_cq,
   if (!pd || !send_cq || !recv_cq) {
     throw std::invalid_argument("create_qp: null argument");
   }
-  Qpn qpn = next_qpn_++;
-  auto qp = std::make_unique<QueuePair>(*this, *pd, *send_cq, *recv_cq, qpn);
-  QueuePair* p = qp.get();
-  qps_.emplace(qpn, std::move(qp));
-  return p;
+  const Qpn qpn = kFirstQpn + static_cast<Qpn>(qps_.size());
+  qps_.push_back(
+      std::make_unique<QueuePair>(*this, *pd, *send_cq, *recv_cq, qpn));
+  return qps_.back().get();
 }
 
 void Hca::destroy_qp(QueuePair* qp) {
-  if (!qp || qps_.erase(qp->qpn()) == 0) {
+  if (!qp || qp_by_qpn(qp->qpn()) != qp) {
     throw std::invalid_argument("destroy_qp: unknown QP");
   }
+  qp->live_ = false;
+  qp->recv_queue_.clear();
+  qp->rnr_queue_.clear();
 }
 
 void Hca::connect(QueuePair* qp, Lid remote_lid, Qpn remote_qpn) {
@@ -119,14 +117,22 @@ void Hca::connect(QueuePair* qp, Lid remote_lid, Qpn remote_qpn) {
   qp->state_ = QpState::ReadyToSend;
 }
 
-MemoryRegion* Hca::mr_by_lkey(MKey lkey) {
-  auto it = mrs_by_lkey_.find(lkey);
-  return it == mrs_by_lkey_.end() ? nullptr : it->second.get();
+MemoryRegion* Hca::mr_by_key(MKey key, MKey parity) {
+  if (key < kFirstKey || (key - kFirstKey) % 2 != parity) return nullptr;
+  const std::size_t slot = (key - kFirstKey) / 2;
+  if (slot >= mrs_.size() || !mrs_[slot]->live_) return nullptr;
+  return mrs_[slot].get();
 }
 
-MemoryRegion* Hca::mr_by_rkey(MKey rkey) {
-  auto it = mrs_by_rkey_.find(rkey);
-  return it == mrs_by_rkey_.end() ? nullptr : it->second;
+MemoryRegion* Hca::mr_by_lkey(MKey lkey) { return mr_by_key(lkey, 0); }
+
+MemoryRegion* Hca::mr_by_rkey(MKey rkey) { return mr_by_key(rkey, 1); }
+
+QueuePair* Hca::qp_by_qpn(Qpn qpn) {
+  if (qpn < kFirstQpn) return nullptr;
+  const std::size_t slot = qpn - kFirstQpn;
+  if (slot >= qps_.size() || !qps_[slot]->live_) return nullptr;
+  return qps_[slot].get();
 }
 
 Hca::DmaCost Hca::read_cost(mem::Domain d) const {
@@ -227,9 +233,9 @@ void Hca::post_recv(QueuePair* qp, RecvWr wr) {
     const sim::Time retry_at = engine_.now() + platform_.rnr_retry_delay;
     Hca* src = pending.src_hca;
     engine_.schedule_at(retry_at, [src, pending = std::move(pending)] {
-      auto it = src->qps_.find(pending.src_qp);
-      if (it == src->qps_.end()) return;  // requester torn down
-      src->execute_send(it->second.get(), pending.wr);
+      QueuePair* src_qp = src->qp_by_qpn(pending.src_qp);
+      if (!src_qp) return;  // requester torn down
+      src->execute_send(src_qp, pending.wr);
     });
   }
 }
@@ -249,14 +255,10 @@ void Hca::execute_send(QueuePair* qp, SendWr wr) {
   }
 
   Hca& remote = fabric_.hca_by_lid(qp->remote_lid_);
-  QueuePair* remote_qp = nullptr;
-  {
-    auto it = remote.qps_.find(qp->remote_qpn_);
-    if (it == remote.qps_.end()) {
-      fail_post(qp, wr, WcStatus::RemoteAccessError);
-      return;
-    }
-    remote_qp = it->second.get();
+  QueuePair* remote_qp = remote.qp_by_qpn(qp->remote_qpn_);
+  if (!remote_qp) {
+    fail_post(qp, wr, WcStatus::RemoteAccessError);
+    return;
   }
   // Loopback (both QPs on this HCA): no wire to cross. Intra-node traffic
   // between co-located ranks is bounded by local memory bandwidth instead —
@@ -573,9 +575,7 @@ void Hca::complete_matched_recv(QueuePair* dst_qp, SendWr wr, Qpn src_qpn,
 
   const std::size_t bytes = total_length(wr.sg_list);
   const std::size_t capacity = total_length(recv.sg_list);
-  auto src_qp_it = src_hca.qps_.find(src_qpn);
-  QueuePair* src_qp =
-      src_qp_it == src_hca.qps_.end() ? nullptr : src_qp_it->second.get();
+  QueuePair* src_qp = src_hca.qp_by_qpn(src_qpn);
 
   if (bytes > capacity) {
     // Message longer than the posted receive: invalid request on both sides.
@@ -603,10 +603,14 @@ void Hca::complete_matched_recv(QueuePair* dst_qp, SendWr wr, Qpn src_qpn,
     for (const Sge& s : recv.sg_list) {
       if (s.length == 0 || counted >= bytes) continue;
       const std::size_t n = std::min<std::size_t>(s.length, bytes - counted);
-      auto c = write_cost(mr_by_lkey(s.lkey)->domain());
+      counted += n;
+      // A receive whose MR was deregistered after it was posted is priced
+      // without it; the landing below drops the data ("receiver MR gone").
+      const MemoryRegion* mr = mr_by_lkey(s.lkey);
+      if (!mr) continue;
+      auto c = write_cost(mr->domain());
       total_ns += static_cast<double>(n) / c.gbps;
       write_lat = std::max(write_lat, c.latency);
-      counted += n;
     }
     write_gbps = static_cast<double>(bytes) / (total_ns > 0 ? total_ns : 1);
   }

@@ -3,7 +3,7 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "ib/types.hpp"
 #include "pcie/pcie.hpp"
@@ -57,6 +57,8 @@ class MemoryRegion {
   }
 
  private:
+  friend class Hca;
+
   ProtectionDomain& pd_;
   mem::Domain domain_;
   mem::SimAddr addr_;
@@ -64,6 +66,7 @@ class MemoryRegion {
   unsigned access_;
   MKey lkey_;
   MKey rkey_;
+  bool live_ = true;  ///< false once deregistered
 };
 
 enum class QpState { Reset, ReadyToSend, Error };
@@ -92,6 +95,7 @@ class QueuePair {
   CompletionQueue& send_cq_;
   CompletionQueue& recv_cq_;
   Qpn qpn_;
+  bool live_ = true;  ///< false once destroyed
   QpState state_ = QpState::Reset;
   Lid remote_lid_ = 0;
   Qpn remote_qpn_ = 0;
@@ -246,17 +250,26 @@ class Hca {
 
   std::uint64_t egress_bytes_ = 0;
   int next_pd_id_ = 1;
-  Qpn next_qpn_ = 100;
-  MKey next_key_ = 0x1000;
   int next_cq_id_ = 1;
   std::uint64_t mr_reg_count_ = 0;
 
+  // MR keys and QPNs come from counters and are never reused, so the tables
+  // looked up on every post and landing are arrays indexed by id. reg_mr
+  // hands out lkey = kFirstKey + 2i, rkey = lkey + 1 for the i-th
+  // registration: the parity of a key tells an lkey from an rkey. Dead
+  // objects stay in place, marked not live, so a stale handle passed to
+  // dereg_mr or destroy_qp is still safe to inspect and is rejected.
+  static constexpr MKey kFirstKey = 0x1000;
+  static constexpr Qpn kFirstQpn = 100;
+  /// The live MR behind `key` when its parity is `parity` (0 lkey, 1 rkey).
+  MemoryRegion* mr_by_key(MKey key, MKey parity);
+  QueuePair* qp_by_qpn(Qpn qpn);
+
   std::map<int, std::unique_ptr<ProtectionDomain>> pds_;
-  // Looked up by exact key on every post and landing, never iterated.
-  std::unordered_map<MKey, std::unique_ptr<MemoryRegion>> mrs_by_lkey_;
-  std::unordered_map<MKey, MemoryRegion*> mrs_by_rkey_;
+  /// One per registration, by key slot.
+  std::vector<std::unique_ptr<MemoryRegion>> mrs_;
   std::map<int, std::unique_ptr<CompletionQueue>> cqs_;
-  std::unordered_map<Qpn, std::unique_ptr<QueuePair>> qps_;
+  std::vector<std::unique_ptr<QueuePair>> qps_;  ///< by qpn - kFirstQpn
   /// execute_send's local MRs, one per SGE, as check_sges resolved them.
   /// A member so a post does not allocate; execute_send never nests.
   std::vector<MemoryRegion*> sge_mrs_;

@@ -1,7 +1,5 @@
 #include "mem/memory.hpp"
 
-#include <cstring>
-
 namespace dcfa::mem {
 
 const char* domain_name(Domain d) {
@@ -42,56 +40,80 @@ Buffer AddressSpace::alloc(std::size_t size, std::size_t align) {
   // Leave a guard gap so off-by-one windows never touch a neighbour.
   next_addr_ = round_up(addr + size + kPage, kPage);
 
-  Region region;
-  region.storage = std::make_unique<std::byte[]>(size);
-  region.size = size;
-  std::memset(region.storage.get(), 0, size);
+  auto storage = std::make_unique<std::byte[]>(size);  // value-init: zeroed
 
   Buffer buf;
-  buf.data_ = region.storage.get();
+  buf.data_ = storage.get();
   buf.size_ = size;
   buf.addr_ = addr;
   buf.domain_ = domain_;
   buf.node_ = node_;
 
-  regions_.emplace(addr, std::move(region));
+  starts_.push_back(addr);
+  regions_.push_back(Region{size, std::move(storage)});
   in_use_ += size;
+  ++live_;
   return buf;
 }
 
+std::size_t AddressSpace::slot_at(SimAddr addr) const {
+  if (starts_.empty() || addr < starts_.front()) return regions_.size();
+  // Branch-free binary search: the loop compiles to conditional moves, so
+  // random lookups do not pay a mispredicted branch per halving.
+  const SimAddr* base = starts_.data();
+  std::size_t n = starts_.size();
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    base = base[half] <= addr ? base + half : base;
+    n -= half;
+  }
+  return static_cast<std::size_t>(base - starts_.data());
+}
+
 void AddressSpace::free(const Buffer& buf) {
-  auto it = regions_.find(buf.addr());
-  if (it == regions_.end()) {
+  const std::size_t i = slot_at(buf.addr());
+  if (i == regions_.size() || starts_[i] != buf.addr() ||
+      !regions_[i].storage) {
     throw BadAddress("AddressSpace::free: unknown buffer");
   }
-  in_use_ -= it->second.size;
-  regions_.erase(it);
+  regions_[i].storage.reset();
+  in_use_ -= regions_[i].size;
+  --live_;
+  if (regions_.size() - live_ > live_) {
+    std::size_t out = 0;
+    for (std::size_t j = 0; j < regions_.size(); ++j) {
+      if (!regions_[j].storage) continue;
+      if (out != j) {
+        starts_[out] = starts_[j];
+        regions_[out] = std::move(regions_[j]);
+      }
+      ++out;
+    }
+    starts_.resize(out);
+    regions_.resize(out);
+  }
 }
 
 std::byte* AddressSpace::resolve(SimAddr addr, std::size_t len) {
-  auto it = regions_.upper_bound(addr);
-  if (it == regions_.begin()) {
+  const std::size_t i = slot_at(addr);
+  if (i == regions_.size() || !regions_[i].storage) {
     throw BadAddress("DMA fault: address " + std::to_string(addr) +
                      " not mapped in " + domain_name(domain_) + " of node " +
                      std::to_string(node_));
   }
-  --it;
-  const SimAddr start = it->first;
-  const Region& region = it->second;
-  if (addr < start || addr + len > start + region.size) {
+  if (addr + len > starts_[i] + regions_[i].size) {
     throw BadAddress("DMA fault: window [" + std::to_string(addr) + ", +" +
                      std::to_string(len) + ") escapes allocation in " +
                      domain_name(domain_) + " of node " +
                      std::to_string(node_));
   }
-  return region.storage.get() + (addr - start);
+  return regions_[i].storage.get() + (addr - starts_[i]);
 }
 
 bool AddressSpace::contains(SimAddr addr, std::size_t len) const {
-  auto it = regions_.upper_bound(addr);
-  if (it == regions_.begin()) return false;
-  --it;
-  return addr >= it->first && addr + len <= it->first + it->second.size;
+  const std::size_t i = slot_at(addr);
+  return i < regions_.size() && regions_[i].storage &&
+         addr + len <= starts_[i] + regions_[i].size;
 }
 
 NodeMemory::NodeMemory(NodeId node, std::size_t host_bytes,

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -85,20 +84,31 @@ class AddressSpace {
   Domain domain() const { return domain_; }
   std::size_t bytes_in_use() const { return in_use_; }
   std::size_t capacity() const { return capacity_; }
-  std::size_t live_allocations() const { return regions_.size(); }
+  std::size_t live_allocations() const { return live_; }
 
  private:
   struct Region {
-    std::unique_ptr<std::byte[]> storage;
     std::size_t size;
+    std::unique_ptr<std::byte[]> storage;  ///< null once freed (a dead slot)
   };
+
+  /// Index of the region with the greatest start <= addr, live or dead, or
+  /// regions_.size() when every region starts above addr.
+  std::size_t slot_at(SimAddr addr) const;
 
   NodeId node_;
   Domain domain_;
   std::size_t capacity_;
   std::size_t in_use_ = 0;
+  std::size_t live_ = 0;
   SimAddr next_addr_;
-  std::map<SimAddr, Region> regions_;  // keyed by start address
+  /// Sorted by start address: next_addr_ only grows, so alloc appends.
+  /// free() leaves a dead slot behind and compacts once dead slots
+  /// outnumber live ones, so a lookup is a binary search over an array of
+  /// at most twice the live regions. The search reads starts_ alone (8 B a
+  /// step); regions_[i] is the region that starts at starts_[i].
+  std::vector<SimAddr> starts_;
+  std::vector<Region> regions_;
 };
 
 /// All memory of one node: a host DRAM space and a Phi GDDR space. The Phi

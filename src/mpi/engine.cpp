@@ -228,6 +228,7 @@ Engine::Engine(int rank, int nranks, std::unique_ptr<verbs::Ib> ib,
     throw MpiError("Engine: bad rank/size");
   }
   ready_.assign((static_cast<std::size_t>(nranks) + 63) / 64, 0);
+  endpoint_index_.assign(static_cast<std::size_t>(nranks), nullptr);
   mpi_offload_threshold_ = options.mpi_offload_threshold.value_or(
       platform_.mpi_offload_threshold);
   coll_tuning_ = resolve_coll_tuning(platform_, options.coll);
@@ -441,6 +442,7 @@ void Engine::finalize() {
 Engine::Endpoint& Engine::open_endpoint(int peer) {
   const std::size_t ring_bytes = layout_.stride() * slots();
   Endpoint& ep = endpoints_[peer];
+  endpoint_index_[peer] = &ep;
   ep.peer = peer;
   ep.ring = ib_->alloc_buffer(ring_bytes, mem::AddressSpace::kPage);
   ep.ring_mr = ib_->reg_mr(pd_, ep.ring, ib::kLocalWrite | ib::kRemoteWrite);
@@ -525,7 +527,7 @@ Engine::Endpoint& Engine::establish_endpoint(int peer) {
 
 void Engine::service_connect_requests() {
   for (int q : bootstrap_.take_connect_requests(rank_)) {
-    if (q == rank_ || endpoints_.count(q) > 0) continue;  // already wired
+    if (q == rank_ || find_endpoint(q)) continue;  // already wired
     if (kill_armed_ && bootstrap_.is_dead(q)) continue;   // requester died
     const Bootstrap::PeerInfo* pi = bootstrap_.try_get(q, rank_);
     if (!pi) continue;  // unreachable under publish-before-request
@@ -537,15 +539,12 @@ void Engine::service_connect_requests() {
 }
 
 Engine::Endpoint& Engine::endpoint(int peer) {
-  auto it = endpoints_.find(peer);
-  if (it == endpoints_.end()) {
-    if (lazy_ && setup_done_ && !finalized_ && peer != rank_ && peer >= 0 &&
-        peer < nranks_) {
-      return establish_endpoint(peer);
-    }
-    throw MpiError("no endpoint for rank " + std::to_string(peer));
+  if (Endpoint* ep = find_endpoint(peer)) return *ep;
+  if (lazy_ && setup_done_ && !finalized_ && peer != rank_ && peer >= 0 &&
+      peer < nranks_) {
+    return establish_endpoint(peer);
   }
-  return it->second;
+  throw MpiError("no endpoint for rank " + std::to_string(peer));
 }
 
 void Engine::forget_buffer(const mem::Buffer& buf) {
@@ -744,9 +743,9 @@ void Engine::post_tx_record(Endpoint& ep, std::uint64_t idx) {
 }
 
 void Engine::on_tx_wc(int peer, std::uint64_t idx, const ib::Wc& wc) {
-  auto eit = endpoints_.find(peer);
-  if (eit == endpoints_.end()) return;
-  Endpoint& ep = eit->second;
+  Endpoint* epp = find_endpoint(peer);
+  if (!epp) return;
+  Endpoint& ep = *epp;
   auto it = ep.unacked.find(idx);
   if (it == ep.unacked.end()) return;  // already credit-acknowledged
   if (wc.status == ib::WcStatus::Success) {
@@ -781,9 +780,9 @@ void Engine::on_tx_wc(int peer, std::uint64_t idx, const ib::Wc& wc) {
 
 void Engine::tx_check(int peer, std::uint64_t idx, std::uint64_t epoch,
                       bool after_error) {
-  auto eit = endpoints_.find(peer);
-  if (eit == endpoints_.end()) return;
-  Endpoint& ep = eit->second;
+  Endpoint* epp = find_endpoint(peer);
+  if (!epp) return;
+  Endpoint& ep = *epp;
   auto it = ep.unacked.find(idx);
   if (it == ep.unacked.end() || it->second.epoch != epoch) return;
   if (!after_error) {
@@ -995,8 +994,7 @@ bool Engine::maybe_start_reconnect(Endpoint& ep, const char* why) {
   // Death signals arrive in CQE callbacks and timer bodies; the actual
   // re-establishment runs from progress() in a clean context.
   schedule_recovery(0, [this, peer, target] {
-    auto it = endpoints_.find(peer);
-    if (it != endpoints_.end()) perform_reconnect(it->second, target);
+    if (Endpoint* ep = find_endpoint(peer)) perform_reconnect(*ep, target);
   });
   return true;
 }
@@ -1014,9 +1012,9 @@ void Engine::service_reconnect_requests(int except_peer) {
     if (next == reconnect_todo_.end()) return;
     p = *next;
     if (p == except_peer) continue;
-    auto it = endpoints_.find(p);
-    if (it == endpoints_.end()) continue;  // actionable once it opens
-    Endpoint& ep = it->second;
+    Endpoint* epp = find_endpoint(p);
+    if (!epp) continue;  // actionable once it opens
+    Endpoint& ep = *epp;
     const std::uint32_t e = inbox.epochs.at(p);
     if (e <= ep.epoch) {
       reconnect_todo_.erase(p);  // inert until the peer raises it again
@@ -1364,9 +1362,8 @@ void Engine::adopt_failures() {
 }
 
 void Engine::fail_peer_ops(int r) {
-  auto eit = endpoints_.find(r);
-  if (eit != endpoints_.end()) {
-    Endpoint& ep = eit->second;
+  if (Endpoint* epp = find_endpoint(r)) {
+    Endpoint& ep = *epp;
     ep.conn_state = ConnState::Failed;
     // Unacked ring packets: defuse the retry timers and pull the records
     // out before delivering verdicts (a verdict callback may re-enter the
@@ -1806,7 +1803,7 @@ void Engine::progress() {
   // when a full scan of every endpoint would have reached it.
   for (int p = next_ready(0); p >= 0; p = next_ready(p + 1)) {
     clear_ready(p);
-    Endpoint& ep = endpoints_.at(p);
+    Endpoint& ep = *endpoint_index_[p];
     ++stats_.endpoint_visits;
     try {
       read_credit_cell(ep);

@@ -871,6 +871,10 @@ class Engine {
   /// simulation engine (see src/sim/check.hpp and docs/checking.md).
   sim::Checker& chk();
   Endpoint& endpoint(int peer);
+  /// The wired endpoint toward `peer`, or null. An index, not a search.
+  Endpoint* find_endpoint(int peer) {
+    return peer >= 0 && peer < nranks_ ? endpoint_index_[peer] : nullptr;
+  }
   Channel& channel(Endpoint& ep, std::uint32_t comm_id, int tag) {
     return ep.channels[{comm_id, tag}];
   }
@@ -895,7 +899,12 @@ class Engine {
   std::unique_ptr<MrCache> mr_cache_;
   std::unique_ptr<OffloadShadowCache> shadow_cache_;
 
+  /// Wired endpoints, iterated in ascending peer order (that order fixes
+  /// event sequence numbers, hence virtual time). Never erased.
   std::map<int, Endpoint> endpoints_;
+  /// endpoint_index_[p] is &endpoints_[p] once wired, null before: the
+  /// per-packet lookup by peer (8 B per world rank).
+  std::vector<Endpoint*> endpoint_index_;
   /// Ready set: bit p (over world ranks) means endpoint p may have work.
   /// Three things set it — an RDMA write landing in p's ring or credit MR
   /// (through rkey_peer_), a tx() enqueue toward p, and opening or

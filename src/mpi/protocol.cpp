@@ -127,9 +127,9 @@ std::optional<Status> Engine::iprobe(int src, int tag,
       }
       continue;
     }
-    auto eit = endpoints_.find(s);
-    if (eit == endpoints_.end()) continue;
-    for (auto& [key, ch] : eit->second.channels) {
+    Endpoint* ep = find_endpoint(s);
+    if (!ep) continue;
+    for (auto& [key, ch] : ep->channels) {
       if (key.first != comm_id) continue;
       if (tag == kAnyTag && key.second >= kInternalTagBase) continue;
       if (tag != kAnyTag && tag != key.second) continue;
@@ -864,9 +864,9 @@ std::optional<Engine::WildMatch> Engine::find_wildcard_match(
       }
       continue;
     }
-    auto eit = endpoints_.find(src);
-    if (eit == endpoints_.end()) continue;
-    for (auto& [key, ch] : eit->second.channels) {
+    Endpoint* ep = find_endpoint(src);
+    if (!ep) continue;
+    for (auto& [key, ch] : ep->channels) {
       if (key.first != req->comm_id) continue;
       // ANY_TAG never matches internal (collective) traffic — the standard
       // hidden-context separation.

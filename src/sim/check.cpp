@@ -270,47 +270,64 @@ void Checker::mr_registered(const void* owner, std::uint64_t lkey,
                             std::uint64_t len) {
   if (!on()) return;
   count();
-  mrs_[MrKey{owner, lkey}] = MrState{addr, len, true};
-  mrs_[MrKey{owner, rkey}] = MrState{addr, len, true};
+  MrLedger& ledger = mrs_[owner];
+  for (const std::uint64_t key : {lkey, rkey}) {
+    if (ledger.slots.empty()) {
+      ledger.base = key;
+    } else if (key < ledger.base) {
+      ledger.slots.insert(ledger.slots.begin(), ledger.base - key, MrState{});
+      ledger.base = key;
+    }
+    const std::uint64_t slot = key - ledger.base;
+    if (slot >= ledger.slots.size()) ledger.slots.resize(slot + 1);
+    ledger.slots[slot] = MrState{addr, len, true, true};
+  }
+}
+
+Checker::MrState* Checker::find_mr(const void* owner, std::uint64_t key) {
+  auto lit = mrs_.find(owner);
+  if (lit == mrs_.end()) return nullptr;
+  MrLedger& ledger = lit->second;
+  if (key < ledger.base || key - ledger.base >= ledger.slots.size()) {
+    return nullptr;
+  }
+  MrState& mr = ledger.slots[key - ledger.base];
+  return mr.registered ? &mr : nullptr;
 }
 
 void Checker::mr_deregistered(const void* owner, std::uint64_t lkey,
                               std::uint64_t rkey) {
   if (!on()) return;
   count();
-  auto kill = [this, owner](std::uint64_t key) {
-    auto it = mrs_.find(MrKey{owner, key});
-    if (it != mrs_.end()) it->second.live = false;
-  };
-  kill(lkey);
-  kill(rkey);
+  for (const std::uint64_t key : {lkey, rkey}) {
+    if (MrState* mr = find_mr(owner, key)) mr->live = false;
+  }
 }
 
 void Checker::mr_used(const void* owner, std::uint64_t key,
                       std::uint64_t addr, std::uint64_t len) {
   if (!on()) return;
   count();
-  auto it = mrs_.find(MrKey{owner, key});
-  if (it == mrs_.end()) {
+  const MrState* mr = find_mr(owner, key);
+  if (!mr) {
     // Key never registered with this checker. The HCA's own protection
     // checks report these as LocalProtectionError completions; unknown keys
     // also arise for MRs registered before the checker existed, so only
     // flag keys we have definitely seen die.
     return;
   }
-  if (!it->second.live)
+  if (!mr->live)
     violate(CheckKind::MrUseAfterDereg,
             "key " + std::to_string(key) + " used after dereg (window was [" +
-                std::to_string(it->second.addr) + ", " +
-                std::to_string(it->second.addr + it->second.len) + "))");
+                std::to_string(mr->addr) + ", " +
+                std::to_string(mr->addr + mr->len) + "))");
   if (full() && len != 0) {
-    const MrState& mr = it->second;
-    if (addr < mr.addr || addr + len > mr.addr + mr.len)
+    if (addr < mr->addr || addr + len > mr->addr + mr->len)
       violate(CheckKind::MrOutOfBounds,
               "key " + std::to_string(key) + " use [" + std::to_string(addr) +
                   ", " + std::to_string(addr + len) +
-                  ") outside registered window [" + std::to_string(mr.addr) +
-                  ", " + std::to_string(mr.addr + mr.len) + ")");
+                  ") outside registered window [" + std::to_string(mr->addr) +
+                  ", " + std::to_string(mr->addr + mr->len) + ")");
   }
 }
 

@@ -321,19 +321,6 @@ class Checker {
                                         (what * 0x9E3779B97F4A7C15ull));
     }
   };
-  struct MrKey {
-    const void* owner;
-    std::uint64_t key;
-    bool operator==(const MrKey& o) const {
-      return owner == o.owner && key == o.key;
-    }
-  };
-  struct MrKeyHash {
-    std::size_t operator()(const MrKey& k) const {
-      return std::hash<const void*>{}(k.owner) ^
-             (std::hash<std::uint64_t>{}(k.key) * 0x9E3779B97F4A7C15ull);
-    }
-  };
   struct PairKey {
     int rank;
     int peer;
@@ -357,8 +344,19 @@ class Checker {
   struct MrState {
     std::uint64_t addr = 0;
     std::uint64_t len = 0;
+    bool registered = false;  ///< false: a key of another owner, or unused
     bool live = false;
   };
+  /// One owner's keys, dense by offset: slots[key - base]. Keys come from a
+  /// per-Hca counter, so an owner's keys are close together; the slots
+  /// between them belong to other owners on the same Hca and stay
+  /// unregistered. A lookup is an index, with no node per dead key.
+  struct MrLedger {
+    std::uint64_t base = 0;
+    std::vector<MrState> slots;
+  };
+  /// The ledger entry for (owner, key), or null when never registered.
+  MrState* find_mr(const void* owner, std::uint64_t key);
   struct CollState {
     int rank = -1;
     std::uint32_t comm = 0;
@@ -426,11 +424,11 @@ class Checker {
   std::unordered_map<ChannelKey, AcceptState, ChannelKeyHash> accepted_;
   std::unordered_map<PairKey, CreditState, PairKeyHash> credit_;
   std::unordered_map<PairKey, std::uint32_t, PairKeyHash> epoch_;
-  // Keyed by (protection domain, key): key counters are per-Hca, so the
+  // One ledger per protection domain: key counters are per-Hca, so the
   // same numeric key legitimately recurs across ranks. Within one PD keys
-  // are monotonic and never reused (ib::Hca hands out next_key_++), so a
-  // dead key stays in the map forever as a tombstone.
-  std::unordered_map<MrKey, MrState, MrKeyHash> mrs_;
+  // are monotonic and never reused, so a dead key keeps its entry, marked
+  // not live, and a later use of it is a use-after-dereg.
+  std::unordered_map<const void*, MrLedger> mrs_;
   // (rank, comm, slot) -> check_id; ranks share the checker but each has
   // its own independent copy of the rotating window.
   std::map<std::tuple<int, std::uint32_t, int>, std::uint64_t> window_;

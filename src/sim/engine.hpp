@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -117,6 +116,10 @@ class Engine {
     }
   };
 
+  /// Move the earliest event out of the heap. Moving, not copying, keeps
+  /// the callback's captures (a whole SendWr for an HCA landing) from being
+  /// copied once more per event.
+  Event pop_next();
   void step(const Event& ev);
   void check_deadlock() const;
   void note_process_finished() { --live_; }
@@ -128,7 +131,9 @@ class Engine {
   std::uint64_t fiber_switches_ = 0;
   std::size_t live_ = 0;
   SchedConfig sched_;
-  std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
+  /// A binary heap under EventOrder (std::push_heap / std::pop_heap), the
+  /// same algorithm std::priority_queue runs, minus its const top().
+  std::vector<Event> queue_;
   std::vector<std::unique_ptr<Process>> processes_;
   std::unique_ptr<Checker> checker_;
 };

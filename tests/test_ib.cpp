@@ -80,8 +80,50 @@ TEST(Hca, RegMrValidatesBacking) {
   const std::uint32_t lkey = mr->lkey();
   EXPECT_EQ(c.hca0.mr_by_lkey(lkey), mr);
   EXPECT_EQ(c.hca0.mr_by_rkey(mr->rkey()), mr);
-  c.hca0.dereg_mr(mr);  // frees the MR: only the cached key is safe now
+  c.hca0.dereg_mr(mr);  // the handle is dead: only the cached key is safe now
   EXPECT_EQ(c.hca0.mr_by_lkey(lkey), nullptr);
+}
+
+TEST(Hca, KeyKindsDoNotCrossAndDeadObjectsAreRejected) {
+  Cluster c;
+  mem::Buffer b = c.mem0.alloc(mem::Domain::HostDram, 256);
+  MemoryRegion* mr = c.hca0.reg_mr(c.e0.pd, mem::Domain::HostDram, b.addr(),
+                                   256, kLocalWrite | kRemoteWrite);
+  // An rkey is never an lkey and vice versa.
+  EXPECT_EQ(c.hca0.mr_by_lkey(mr->rkey()), nullptr);
+  EXPECT_EQ(c.hca0.mr_by_rkey(mr->lkey()), nullptr);
+  // A key past the last registration, or below the first, finds nothing.
+  EXPECT_EQ(c.hca0.mr_by_lkey(mr->lkey() + 2), nullptr);
+  EXPECT_EQ(c.hca0.mr_by_rkey(0), nullptr);
+  c.hca0.dereg_mr(mr);
+  EXPECT_EQ(c.hca0.mr_by_rkey(mr->rkey()), nullptr);
+  EXPECT_THROW(c.hca0.dereg_mr(mr), std::invalid_argument);
+  EXPECT_THROW(c.hca1.dereg_mr(nullptr), std::invalid_argument);
+
+  QueuePair* qp = c.hca0.create_qp(c.e0.pd, c.e0.cq, c.e0.cq);
+  c.hca0.destroy_qp(qp);
+  EXPECT_THROW(c.hca0.destroy_qp(qp), std::invalid_argument);
+  // A QP of one HCA is unknown to the other.
+  EXPECT_THROW(c.hca1.destroy_qp(c.e0.qp), std::invalid_argument);
+}
+
+TEST(Hca, PostToDestroyedRemoteQpIsRemoteAccessError) {
+  Cluster c;
+  mem::Buffer src = c.mem0.alloc(mem::Domain::HostDram, 64);
+  mem::Buffer dst = c.mem1.alloc(mem::Domain::HostDram, 64);
+  MemoryRegion* smr =
+      c.hca0.reg_mr(c.e0.pd, mem::Domain::HostDram, src.addr(), 64, 0);
+  MemoryRegion* dmr = c.hca1.reg_mr(c.e1.pd, mem::Domain::HostDram,
+                                    dst.addr(), 64, kRemoteWrite);
+  c.hca1.destroy_qp(c.e1.qp);
+  SendWr wr;
+  wr.opcode = Opcode::RdmaWrite;
+  wr.sg_list = {{src.addr(), 64, smr->lkey()}};
+  wr.remote_addr = dst.addr();
+  wr.rkey = dmr->rkey();
+  c.hca0.post_send(c.e0.qp, wr);
+  EXPECT_EQ(c.run_for_wc(c.e0.cq).status, WcStatus::RemoteAccessError);
+  EXPECT_EQ(c.e0.qp->state(), QpState::Error);
 }
 
 TEST(Hca, RdmaWriteMovesData) {
@@ -302,6 +344,40 @@ TEST(Hca, SendBeforeRecvWaitsRnrThenCompletes) {
   // Completion is after the recv post plus the RNR retry delay.
   EXPECT_GE(c.engine.now(),
             sim::microseconds(100) + c.platform.rnr_retry_delay);
+}
+
+TEST(Hca, SendIntoReceiveWhoseMrWasDeregisteredDropsTheData) {
+  // The receive was posted against a live MR that was deregistered before
+  // the Send arrived: the landing drops the bytes ("receiver MR gone")
+  // instead of dereferencing the dead MR.
+  Cluster c;
+  mem::Buffer src = c.mem0.alloc(mem::Domain::HostDram, 64);
+  mem::Buffer dst = c.mem1.alloc(mem::Domain::HostDram, 64);
+  std::memset(src.data(), 0x5A, 64);
+  MemoryRegion* smr =
+      c.hca0.reg_mr(c.e0.pd, mem::Domain::HostDram, src.addr(), 64, 0);
+  MemoryRegion* dmr = c.hca1.reg_mr(c.e1.pd, mem::Domain::HostDram,
+                                    dst.addr(), 64, kLocalWrite);
+  RecvWr rwr;
+  rwr.wr_id = 3;
+  rwr.sg_list = {{dst.addr(), 64, dmr->lkey()}};
+  c.hca1.post_recv(c.e1.qp, rwr);
+  c.hca1.dereg_mr(dmr);
+  SendWr wr;
+  wr.wr_id = 4;
+  wr.opcode = Opcode::Send;
+  wr.sg_list = {{src.addr(), 64, smr->lkey()}};
+  c.hca0.post_send(c.e0.qp, wr);
+  c.engine.run();
+  Wc rwc;
+  ASSERT_EQ(c.e1.cq->poll(1, &rwc), 1);
+  EXPECT_EQ(rwc.wr_id, 3u);
+  for (std::size_t i = 0; i < 64; ++i) {
+    ASSERT_EQ(dst.data()[i], std::byte{0}) << "byte " << i << " landed";
+  }
+  Wc swc;
+  ASSERT_EQ(c.e0.cq->poll(1, &swc), 1);
+  EXPECT_EQ(swc.wr_id, 4u);
 }
 
 TEST(Hca, SendLongerThanRecvIsInvalidRequest) {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "mem/memory.hpp"
 
 using namespace dcfa::mem;
@@ -88,6 +91,66 @@ TEST(AddressSpace, GuardGapsBetweenAllocations) {
   // `b` (catches off-by-one DMA descriptors).
   EXPECT_GT(b.addr(), a.end());
   EXPECT_THROW(space.resolve(a.addr() + 32, 64), BadAddress);
+}
+
+TEST(AddressSpace, FreedMiddleRegionFaultsBeforeAndAfterCompaction) {
+  AddressSpace space(0, Domain::HostDram, 1 << 20);
+  Buffer a = space.alloc(256);
+  Buffer b = space.alloc(256);
+  Buffer c = space.alloc(256);
+  space.free(b);  // one dead slot among two live ones: no compaction yet
+  EXPECT_THROW(space.resolve(b.addr(), 1), BadAddress);
+  EXPECT_THROW(space.resolve(b.addr() + 100, 16), BadAddress);
+  EXPECT_FALSE(space.contains(b.addr(), 1));
+  EXPECT_FALSE(space.contains(b.addr() + 100, 16));
+  EXPECT_EQ(space.resolve(a.addr() + 255, 1), a.data() + 255);
+  EXPECT_EQ(space.resolve(c.addr(), 256), c.data());
+  EXPECT_EQ(space.live_allocations(), 2u);
+
+  space.free(a);  // two dead slots outnumber the one live one: compacts
+  EXPECT_THROW(space.resolve(a.addr(), 1), BadAddress);
+  EXPECT_THROW(space.resolve(b.addr() + 100, 16), BadAddress);
+  EXPECT_FALSE(space.contains(a.addr(), 1));
+  EXPECT_FALSE(space.contains(b.addr(), 1));
+  EXPECT_TRUE(space.contains(c.addr() + 128, 128));
+  EXPECT_EQ(space.resolve(c.addr() + 128, 128), c.data() + 128);
+  EXPECT_EQ(space.live_allocations(), 1u);
+  EXPECT_THROW(space.free(a), BadAddress);
+  EXPECT_THROW(space.free(b), BadAddress);
+  space.free(c);
+  EXPECT_THROW(space.free(c), BadAddress);
+  EXPECT_EQ(space.live_allocations(), 0u);
+  EXPECT_EQ(space.bytes_in_use(), 0u);
+}
+
+TEST(AddressSpace, LiveCountExactAcrossInterleavedAllocAndFree) {
+  AddressSpace space(0, Domain::HostDram, 64 << 20);
+  std::vector<Buffer> live;
+  std::vector<Buffer> dead;
+  std::uint64_t state = 12345;
+  for (int i = 0; i < 1000; ++i) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    const std::uint64_t r = state >> 33;
+    if (live.empty() || r % 5 < 3) {
+      Buffer b = space.alloc(1 + r % 3000);
+      b.data()[0] = static_cast<std::byte>(i);
+      live.push_back(b);
+    } else {
+      const std::size_t victim = r % live.size();
+      space.free(live[victim]);
+      dead.push_back(live[victim]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+    }
+    ASSERT_EQ(space.live_allocations(), live.size()) << "after op " << i;
+  }
+  for (const Buffer& b : live) {
+    EXPECT_EQ(space.resolve(b.addr(), b.size()), b.data());
+  }
+  for (const Buffer& b : dead) {
+    EXPECT_FALSE(space.contains(b.addr(), 1));
+    EXPECT_THROW(space.resolve(b.addr(), 1), BadAddress);
+    EXPECT_THROW(space.free(b), BadAddress);
+  }
 }
 
 TEST(NodeMemory, DomainsAreIsolated) {
